@@ -107,11 +107,10 @@ void Collector::setFlightRecorder(FlightRecorder *F) {
 
 void Collector::setGcThreads(unsigned N) {
   GcThreads = N ? N : 1;
-  bool Par = GcThreads > 1;
   if (Copying)
-    Copying->setParallelTracing(Par);
+    Copying->setParallelTracing(GcThreads);
   if (Gen)
-    Gen->setParallelTracing(Par);
+    Gen->setParallelTracing(GcThreads);
 }
 
 bool Collector::traceStacksParallel(
@@ -182,16 +181,22 @@ bool Collector::traceStacksParallel(
       FR->record(FlightEventType::TraceWorkerEnd, W, Steals);
   };
 
-  std::vector<std::thread> Threads;
-  Threads.reserve(K - 1);
-  for (unsigned W = 1; W < K; ++W)
-    Threads.emplace_back([&RunWorker, W] {
-      Stats::setThreadLabel("gc-worker");
-      RunWorker(W);
-    });
-  RunWorker(0);
-  for (std::thread &Th : Threads)
-    Th.join();
+  {
+    // Workers run with no telemetry, so the collecting thread charges the
+    // whole fan-out to frame dispatch, where the serial trace's frame
+    // routines land too.
+    PhaseScope Fanout(&Tel, GcPhase::FrameDispatch);
+    std::vector<std::thread> Threads;
+    Threads.reserve(K - 1);
+    for (unsigned W = 1; W < K; ++W)
+      Threads.emplace_back([&RunWorker, W] {
+        Stats::setThreadLabel("gc-worker");
+        RunWorker(W);
+      });
+    RunWorker(0);
+    for (std::thread &Th : Threads)
+      Th.join();
+  }
 
   // Single-threaded again (joins give happens-before): merge each
   // worker's space-local tallies, counters, and census.

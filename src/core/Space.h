@@ -63,12 +63,13 @@ public:
 };
 
 /// Parallel sibling of CopyingSpace: claim with an atomic fetch-or on the
-/// forward bitmap, copy into a CAS-bumped to-space slice, then publish the
-/// forwarding address (runtime/Heap.h claim/publish protocol).
+/// forward bitmap, copy into the worker's own to-space copy buffer
+/// (runtime/Carve.h), then publish the forwarding address
+/// (runtime/Heap.h claim/publish protocol).
 class ParCopyingSpace : public Space {
 public:
   ParCopyingSpace(Heap &H, bool TaggedHeaders)
-      : H(H), TaggedHeaders(TaggedHeaders) {}
+      : H(H), Buf(H.toSpaceBuffer()), TaggedHeaders(TaggedHeaders) {}
 
   bool alreadyVisited(Word Ref, Word &NewRef) override {
     Word *Obj = reinterpret_cast<Word *>(Ref);
@@ -90,11 +91,11 @@ public:
     Word *Old = reinterpret_cast<Word *>(Ref);
     Word *New;
     if (TaggedHeaders) {
-      Word *Alloc = H.allocateInToSpaceParallel(PayloadWords + 1);
+      Word *Alloc = Buf.allocate(PayloadWords + 1);
       Alloc[0] = Old[-1];
       New = Alloc + 1;
     } else {
-      New = H.allocateInToSpaceParallel(PayloadWords);
+      New = Buf.allocate(PayloadWords);
     }
     std::memcpy(New, Old, PayloadWords * sizeof(Word));
     H.publishForward(Old, (Word)(uintptr_t)New);
@@ -103,6 +104,7 @@ public:
 
 private:
   Heap &H;
+  CopyBuffer Buf;
   bool TaggedHeaders;
 };
 
@@ -216,11 +218,13 @@ private:
 };
 
 /// Parallel sibling of GenMinorSpace: thread-private survival counters,
-/// CAS evacuation bumps, claim/publish forwarding.
+/// a private copy buffer over the evacuation target, claim/publish
+/// forwarding.
 class ParGenMinorSpace : public Space {
 public:
   ParGenMinorSpace(GenHeap &H, bool TaggedHeaders, bool Promote)
-      : H(H), TaggedHeaders(TaggedHeaders), Promote(Promote) {}
+      : H(H), Buf(Promote ? H.tenuredBuffer() : H.survivorBuffer()),
+        TaggedHeaders(TaggedHeaders), Promote(Promote) {}
 
   bool alreadyVisited(Word Ref, Word &NewRef) override {
     if (!H.inNursery(Ref)) {
@@ -245,8 +249,7 @@ public:
   Word visitNew(Word Ref, size_t PayloadWords) override {
     Word *Old = reinterpret_cast<Word *>(Ref);
     size_t Total = PayloadWords + (TaggedHeaders ? 1 : 0);
-    Word *Alloc = Promote ? H.allocateInTenuredParallel(Total)
-                          : H.allocateInSurvivorSpaceParallel(Total);
+    Word *Alloc = Buf.allocate(Total);
     Word *New;
     if (TaggedHeaders) {
       Alloc[0] = Old[-1];
@@ -273,6 +276,7 @@ public:
 
 private:
   GenHeap &H;
+  CopyBuffer Buf;
   bool TaggedHeaders;
   bool Promote;
   uint64_t PromotedObjs = 0, PromotedWords = 0;
@@ -352,11 +356,12 @@ private:
   uint64_t SurvivorObjs = 0, SurvivorWords = 0;
 };
 
-/// Parallel sibling of GenMajorSpace.
+/// Parallel sibling of GenMajorSpace: a private copy buffer over the
+/// tenured to-space, claim/publish forwarding.
 class ParGenMajorSpace : public Space {
 public:
   ParGenMajorSpace(GenHeap &H, bool TaggedHeaders)
-      : H(H), TaggedHeaders(TaggedHeaders) {}
+      : H(H), Buf(H.toSpaceBuffer()), TaggedHeaders(TaggedHeaders) {}
 
   bool alreadyVisited(Word Ref, Word &NewRef) override {
     Word *Obj = reinterpret_cast<Word *>(Ref);
@@ -378,7 +383,7 @@ public:
     Word *Old = reinterpret_cast<Word *>(Ref);
     size_t Total = PayloadWords + (TaggedHeaders ? 1 : 0);
     bool Young = H.inNursery(Ref);
-    Word *Alloc = H.allocateInToSpaceParallel(Total);
+    Word *Alloc = Buf.allocate(Total);
     Word *New;
     if (TaggedHeaders) {
       Alloc[0] = Old[-1];
@@ -400,6 +405,7 @@ public:
 
 private:
   GenHeap &H;
+  CopyBuffer Buf;
   bool TaggedHeaders;
   uint64_t YoungEvacObjs = 0, YoungEvacWords = 0;
 };

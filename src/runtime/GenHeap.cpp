@@ -15,23 +15,86 @@ size_t clampWords(size_t Bytes) {
 
 GenHeap::GenHeap(size_t TenuredBytes, size_t NurseryBytes) {
   NurCapacityWords = clampWords(NurseryBytes);
-  NurSpaces[0] = std::make_unique<Word[]>(NurCapacityWords);
-  NurSpaces[1] = std::make_unique<Word[]>(NurCapacityWords);
+  allocateSemispace(0);
+  allocateSemispace(1);
   NurBase = NurAlloc = NurSpaces[0].get();
   NurEnd = NurBase + NurCapacityWords;
 
   TenCapacityWords = clampWords(TenuredBytes);
-  Ten = std::make_unique<Word[]>(TenCapacityWords);
+  allocateTenured();
+}
+
+size_t GenHeap::semispaceWords() const {
+  return NurCapacityWords +
+         evacuationReserveWords(NurCapacityWords, GcWorkers);
+}
+
+void GenHeap::allocateSemispace(int I) {
+  NurSpaces[I].reset(); // Released first, so its memory can be reused.
+  NurSpaceWords[I] = semispaceWords();
+  NurSpaces[I] = std::make_unique<Word[]>(NurSpaceWords[I]);
+}
+
+void GenHeap::allocateTenured() {
+  size_t Reserve = evacuationReserveWords(TenCapacityWords, GcWorkers);
+  Ten.reset();
+  Ten = std::make_unique<Word[]>(TenCapacityWords + Reserve);
   TenBase = TenAlloc = Ten.get();
   TenEnd = TenBase + TenCapacityWords;
+  TenLimit = TenEnd + Reserve;
+}
+
+void GenHeap::setParallelTracing(unsigned Workers) {
+  assert(!collecting() && "cannot arm mid-collection");
+  if (Workers < 2)
+    Workers = 0;
+  if (Workers == GcWorkers)
+    return;
+  GcWorkers = Workers;
+  // Give every space that holds nothing yet its evacuation reserve now.
+  // Tenured only fills through collections, so it is empty before the
+  // first one; a nursery semispace that already holds objects gets its
+  // reserve in beginMinor(), when it next becomes the to-space. The old
+  // spaces are released before any new one is allocated, the largest
+  // first, so the new ones can take the old ones' memory instead of
+  // growing the process.
+  bool NurseryEmpty = nurseryUsedWords() == 0;
+  bool TenuredEmpty = tenuredUsedWords() == 0;
+  NurSpaces[1 - NurCur].reset();
+  if (NurseryEmpty)
+    NurSpaces[NurCur].reset();
+  if (TenuredEmpty) {
+    allocateTenured();
+  } else {
+    // Objects cannot move outside a collection, so a tenured space that
+    // holds some takes its reserve off its own end. One already fuller
+    // than that is full, which makes the next collection a major, and the
+    // major's tenured to-space has a reserve of its own.
+    size_t Reserve = std::min(evacuationReserveWords(TenCapacityWords, Workers),
+                              (size_t)(TenLimit - TenBase));
+    if ((size_t)(TenLimit - TenEnd) < Reserve) {
+      TenEnd = std::max(TenAlloc, TenLimit - Reserve);
+      TenCapacityWords = (size_t)(TenEnd - TenBase);
+    }
+  }
+  allocateSemispace(1 - NurCur);
+  if (NurseryEmpty) {
+    allocateSemispace(NurCur);
+    NurBase = NurAlloc = NurSpaces[NurCur].get();
+    NurEnd = NurBase + NurCapacityWords;
+  }
 }
 
 void GenHeap::beginMinor() {
   assert(!collecting() && "collection already in progress");
-  NurToBase = NurToAlloc = NurSpaces[1 - NurCur].get();
+  int To = 1 - NurCur;
+  if (NurSpaceWords[To] < semispaceWords())
+    allocateSemispace(To);
+  NurToBase = NurToAlloc = NurSpaces[To].get();
   NurToEnd = NurToBase + NurCapacityWords;
-  NurForwardBits.assign((NurCapacityWords + 63) / 64, 0);
-  if (ParallelArm)
+  NurToLimit = NurToBase + NurSpaceWords[To];
+  NurForwardBits.assign(((size_t)(NurEnd - NurBase) + 63) / 64, 0);
+  if (GcWorkers)
     NurPublishedBits.assign(NurForwardBits.size(), 0);
   MinorActive = true;
 }
@@ -39,12 +102,17 @@ void GenHeap::beginMinor() {
 void GenHeap::endMinor() {
   assert(MinorActive);
   // The to-space (survivors) becomes the nursery; the old from-space is
-  // the next collection's to-space.
+  // the next collection's to-space. Survivors or promotions that spilled
+  // into a reserve leave that space full.
   NurCur = 1 - NurCur;
   NurBase = NurSpaces[NurCur].get();
   NurAlloc = NurToAlloc;
-  NurEnd = NurBase + NurCapacityWords;
-  NurToBase = NurToAlloc = NurToEnd = nullptr;
+  NurEnd = std::max(NurBase + NurCapacityWords, NurAlloc);
+  NurToBase = NurToAlloc = NurToEnd = NurToLimit = nullptr;
+  if (TenAlloc > TenEnd) {
+    TenEnd = TenAlloc;
+    TenCapacityWords = (size_t)(TenEnd - TenBase);
+  }
   NurForwardBits.clear();
   NurForwardBits.shrink_to_fit();
   NurPublishedBits.clear();
@@ -56,12 +124,14 @@ void GenHeap::beginMajor(size_t NewTenuredCapacityWords) {
   assert(!collecting() && "collection already in progress");
   TenToCapacityWords =
       NewTenuredCapacityWords < 64 ? 64 : NewTenuredCapacityWords;
-  TenTo = std::make_unique<Word[]>(TenToCapacityWords);
+  size_t Reserve = evacuationReserveWords(TenToCapacityWords, GcWorkers);
+  TenTo = std::make_unique<Word[]>(TenToCapacityWords + Reserve);
   TenToBase = TenToAlloc = TenTo.get();
   TenToEnd = TenToBase + TenToCapacityWords;
-  NurForwardBits.assign((NurCapacityWords + 63) / 64, 0);
+  TenToLimit = TenToEnd + Reserve;
+  NurForwardBits.assign(((size_t)(NurEnd - NurBase) + 63) / 64, 0);
   TenForwardBits.assign((TenCapacityWords + 63) / 64, 0);
-  if (ParallelArm) {
+  if (GcWorkers) {
     NurPublishedBits.assign(NurForwardBits.size(), 0);
     TenPublishedBits.assign(TenForwardBits.size(), 0);
   }
@@ -73,13 +143,18 @@ void GenHeap::endMajor() {
   Ten = std::move(TenTo);
   TenBase = Ten.get();
   TenAlloc = TenToAlloc;
-  TenCapacityWords = TenToCapacityWords;
+  // A spill into the reserve leaves tenured full; the rest of the reserve
+  // stays behind the new end for the next minors' promotions.
+  TenCapacityWords =
+      std::max(TenToCapacityWords, (size_t)(TenToAlloc - TenToBase));
   TenEnd = TenBase + TenCapacityWords;
-  TenToBase = TenToAlloc = TenToEnd = nullptr;
+  TenLimit = TenToLimit;
+  TenToBase = TenToAlloc = TenToEnd = TenToLimit = nullptr;
   TenToCapacityWords = 0;
   // Every young survivor was evacuated into the tenured to-space, so the
   // nursery restarts empty.
   NurAlloc = NurBase;
+  NurEnd = NurBase + NurCapacityWords;
   NurForwardBits.clear();
   NurForwardBits.shrink_to_fit();
   TenForwardBits.clear();
@@ -98,8 +173,8 @@ void GenHeap::growNursery(size_t MinWords) {
   while (NewWords < MinWords)
     NewWords *= 2;
   NurCapacityWords = NewWords;
-  NurSpaces[0] = std::make_unique<Word[]>(NurCapacityWords);
-  NurSpaces[1] = std::make_unique<Word[]>(NurCapacityWords);
+  allocateSemispace(0);
+  allocateSemispace(1);
   NurCur = 0;
   NurBase = NurAlloc = NurSpaces[0].get();
   NurEnd = NurBase + NurCapacityWords;

@@ -33,6 +33,7 @@
 #ifndef TFGC_RUNTIME_GENHEAP_H
 #define TFGC_RUNTIME_GENHEAP_H
 
+#include "runtime/Carve.h"
 #include "runtime/Value.h"
 
 #include <algorithm>
@@ -62,28 +63,20 @@ public:
     return P;
   }
 
-  /// Carves a per-thread TLAB chunk off the nursery cursor with a CAS
-  /// loop (see Heap::refillTlab for the contract). The nursery is the
-  /// only mutator-visible region, so this is the entire threaded-mode
+  /// Carves a per-thread TLAB chunk off the nursery cursor (see
+  /// Heap::refillTlab for the contract). The nursery is the only
+  /// mutator-visible region, so this is the entire threaded-mode
   /// allocation slow path for the generational algorithm.
   bool refillTlab(size_t MinWords, size_t PreferredWords, Word *&OutTop,
                   Word *&OutEnd) {
-    std::atomic_ref<Word *> A(NurAlloc);
-    Word *Cur = A.load(std::memory_order_relaxed);
-    for (;;) {
-      size_t Avail = (size_t)(NurEnd - Cur);
-      if (Avail < MinWords)
-        return false;
-      size_t Take = std::min(Avail, std::max(MinWords, PreferredWords));
-      if (A.compare_exchange_weak(Cur, Cur + Take,
-                                  std::memory_order_relaxed)) {
-        OutTop = Cur;
-        OutEnd = Cur + Take;
-        std::atomic_ref<uint64_t>(BytesAllocatedTotal)
-            .fetch_add(Take * sizeof(Word), std::memory_order_relaxed);
-        return true;
-      }
-    }
+    if (!carve(NurAlloc, NurEnd, NurEnd, MinWords,
+               [PreferredWords](size_t) { return PreferredWords; }, OutTop,
+               OutEnd))
+      return false;
+    std::atomic_ref<uint64_t>(BytesAllocatedTotal)
+        .fetch_add((size_t)(OutEnd - OutTop) * sizeof(Word),
+                   std::memory_order_relaxed);
+    return true;
   }
 
   // -- Region tests ---------------------------------------------------------
@@ -99,35 +92,32 @@ public:
   bool contains(Word P) const { return inNursery(P) || inTenured(P); }
 
   // -- Minor collections ----------------------------------------------------
-  /// Starts a minor collection: prepares the nursery to-space and the
-  /// nursery forwarding bitmap. Tenured is untouched.
+  /// Starts a minor collection: prepares the nursery to-space (with its
+  /// evacuation reserve when parallel tracing is armed) and the nursery
+  /// forwarding bitmap. Tenured is untouched.
   void beginMinor();
 
   /// Evacuates a surviving-but-not-promoted object: bump allocation in the
-  /// nursery to-space. Survivors never exceed the from-space fill, so this
-  /// cannot overflow.
+  /// nursery to-space. Survivors never exceed the from-space fill, so
+  /// serial evacuation cannot overflow.
   Word *allocateInSurvivorSpace(size_t Words) {
     assert(MinorActive && "not in a minor collection");
-    assert(Words <= (size_t)(NurToEnd - NurToAlloc) &&
-           "nursery to-space overflow");
-    Word *P = NurToAlloc;
-    NurToAlloc += Words;
-    return P;
+    return evacuationBump(NurToAlloc, NurToLimit, Words, "nursery to-space");
   }
 
   /// Promotes an object: bump allocation in the tenured space. The
   /// collector only chooses a minor collection when the tenured free space
-  /// covers the whole nursery fill, so promotion cannot overflow.
+  /// covers the whole nursery fill, so serial promotion cannot overflow.
   Word *allocateInTenured(size_t Words) {
     assert(MinorActive && "not in a minor collection");
-    assert(Words <= (size_t)(TenEnd - TenAlloc) && "tenured overflow");
-    Word *P = TenAlloc;
-    TenAlloc += Words;
-    return P;
+    return evacuationBump(TenAlloc, TenLimit, Words, "tenured space");
   }
 
   /// Ends the minor collection: the to-space (holding the survivors)
   /// becomes the nursery, the old from-space becomes the next to-space.
+  /// A space that parallel evacuation spilled into its reserve comes out
+  /// full, its end moved to the end of the spill; a full nursery makes
+  /// the collector escalate to a major in the same pause.
   void endMinor();
 
   // -- Major collections ----------------------------------------------------
@@ -140,15 +130,12 @@ public:
   /// Evacuates any live object (young or old) into the tenured to-space.
   Word *allocateInToSpace(size_t Words) {
     assert(MajorActive && "not in a major collection");
-    assert(Words <= (size_t)(TenToEnd - TenToAlloc) &&
-           "tenured to-space overflow");
-    Word *P = TenToAlloc;
-    TenToAlloc += Words;
-    return P;
+    return evacuationBump(TenToAlloc, TenToLimit, Words, "tenured to-space");
   }
 
-  /// Ends the major collection: the to-space becomes the tenured space and
-  /// the nursery is reset empty (every young survivor was evacuated old).
+  /// Ends the major collection: the to-space becomes the tenured space
+  /// (full if parallel evacuation spilled into its reserve) and the
+  /// nursery is reset empty (every young survivor was evacuated old).
   void endMajor();
 
   // -- Forwarding (region-dispatching) --------------------------------------
@@ -178,8 +165,14 @@ public:
   }
 
   // -- Parallel tracing (claim/publish; see Heap.h for the protocol) --------
-  void setParallelTracing(bool On) { ParallelArm = On; }
-  bool parallelTracing() const { return ParallelArm; }
+  /// Arms parallel evacuation by \p Workers GC workers (< 2 disarms):
+  /// published bitmaps and evacuation reserves from the next collection
+  /// on. Legal between collections; armed before the first one, while
+  /// tenured is still empty, every space gets its reserve on top of its
+  /// capacity. A tenured space armed later takes its reserve off its own
+  /// end, or comes out full if its objects leave no room for it.
+  void setParallelTracing(unsigned Workers);
+  bool parallelTracing() const { return GcWorkers != 0; }
 
   /// Lock-free read of the claim bit (parallel alreadyVisited fast path).
   bool isForwardedAtomic(const Word *Obj) const {
@@ -226,41 +219,22 @@ public:
     return Obj[0];
   }
 
-  /// CAS-bump variants of the three evacuation cursors, shared by
-  /// concurrent GC workers. Serial and parallel bumps must not interleave
-  /// within one phase.
-  Word *allocateInSurvivorSpaceParallel(size_t Words) {
+  /// GC workers' copy buffers over the three evacuation targets. Workers'
+  /// buffers and the serial allocateIn*() must not interleave within one
+  /// phase.
+  CopyBuffer survivorBuffer() {
     assert(MinorActive && "not in a minor collection");
-    std::atomic_ref<Word *> A(NurToAlloc);
-    Word *Cur = A.load(std::memory_order_relaxed);
-    for (;;) {
-      assert(Words <= (size_t)(NurToEnd - Cur) && "nursery to-space overflow");
-      if (A.compare_exchange_weak(Cur, Cur + Words,
-                                  std::memory_order_relaxed))
-        return Cur;
-    }
+    return CopyBuffer(NurToAlloc, NurToEnd, NurToLimit, GcWorkers,
+                      "nursery to-space");
   }
-  Word *allocateInTenuredParallel(size_t Words) {
+  CopyBuffer tenuredBuffer() {
     assert(MinorActive && "not in a minor collection");
-    std::atomic_ref<Word *> A(TenAlloc);
-    Word *Cur = A.load(std::memory_order_relaxed);
-    for (;;) {
-      assert(Words <= (size_t)(TenEnd - Cur) && "tenured overflow");
-      if (A.compare_exchange_weak(Cur, Cur + Words,
-                                  std::memory_order_relaxed))
-        return Cur;
-    }
+    return CopyBuffer(TenAlloc, TenEnd, TenLimit, GcWorkers, "tenured space");
   }
-  Word *allocateInToSpaceParallel(size_t Words) {
+  CopyBuffer toSpaceBuffer() {
     assert(MajorActive && "not in a major collection");
-    std::atomic_ref<Word *> A(TenToAlloc);
-    Word *Cur = A.load(std::memory_order_relaxed);
-    for (;;) {
-      assert(Words <= (size_t)(TenToEnd - Cur) && "tenured to-space overflow");
-      if (A.compare_exchange_weak(Cur, Cur + Words,
-                                  std::memory_order_relaxed))
-        return Cur;
-    }
+    return CopyBuffer(TenToAlloc, TenToEnd, TenToLimit, GcWorkers,
+                      "tenured to-space");
   }
 
   /// Reallocates the nursery semispaces at \p MinWords or more. Only legal
@@ -268,6 +242,9 @@ public:
   void growNursery(size_t MinWords);
 
   // -- Accounting -----------------------------------------------------------
+  /// The nursery's semispace size. A nursery that parallel evacuation
+  /// spilled into its reserve reaches past it until the major that
+  /// follows; capacityBytes() counts the spill.
   size_t nurseryCapacityWords() const { return NurCapacityWords; }
   size_t nurseryUsedWords() const { return (size_t)(NurAlloc - NurBase); }
   size_t nurseryFreeWords() const { return (size_t)(NurEnd - NurAlloc); }
@@ -275,7 +252,7 @@ public:
   size_t tenuredUsedWords() const { return (size_t)(TenAlloc - TenBase); }
   size_t tenuredFreeWords() const { return (size_t)(TenEnd - TenAlloc); }
   size_t capacityBytes() const {
-    return (NurCapacityWords + TenCapacityWords) * sizeof(Word);
+    return ((size_t)(NurEnd - NurBase) + TenCapacityWords) * sizeof(Word);
   }
   size_t usedBytes() const {
     return (nurseryUsedWords() + tenuredUsedWords()) * sizeof(Word);
@@ -300,6 +277,15 @@ private:
     return nullptr;
   }
 
+  /// Words of one nursery semispace: the capacity plus its evacuation
+  /// reserve.
+  size_t semispaceWords() const;
+  /// (Re)allocates nursery semispace \p I at semispaceWords(); whatever
+  /// it held is dropped.
+  void allocateSemispace(int I);
+  /// (Re)allocates an empty tenured space with its evacuation reserve.
+  void allocateTenured();
+
   /// Published bitmap covering \p Obj (parallel collections only; empty
   /// vectors otherwise), or nullptr outside both regions.
   std::vector<uint64_t> *publishedBitsFor(const Word *Obj) {
@@ -311,26 +297,31 @@ private:
   }
 
   /// Nursery semispace pair; NurCur indexes the current from-space.
+  /// NurSpaceWords counts each one's words, evacuation reserve included.
   std::unique_ptr<Word[]> NurSpaces[2];
+  size_t NurSpaceWords[2] = {0, 0};
   int NurCur = 0;
   Word *NurBase = nullptr, *NurAlloc = nullptr, *NurEnd = nullptr;
   Word *NurToBase = nullptr, *NurToAlloc = nullptr, *NurToEnd = nullptr;
+  Word *NurToLimit = nullptr; ///< End of the to-space's reserve.
   size_t NurCapacityWords = 0;
 
   std::unique_ptr<Word[]> Ten;   ///< Tenured space.
   std::unique_ptr<Word[]> TenTo; ///< Only alive during a major collection.
   Word *TenBase = nullptr, *TenAlloc = nullptr, *TenEnd = nullptr;
+  Word *TenLimit = nullptr; ///< End of tenured's reserve (promotion).
   Word *TenToBase = nullptr, *TenToAlloc = nullptr, *TenToEnd = nullptr;
+  Word *TenToLimit = nullptr;
   size_t TenCapacityWords = 0;
   size_t TenToCapacityWords = 0;
 
   std::vector<uint64_t> NurForwardBits;
   std::vector<uint64_t> TenForwardBits;
-  /// Sized alongside the forward bitmaps while ParallelArm; empty
-  /// otherwise.
+  /// Sized alongside the forward bitmaps while parallel tracing is armed;
+  /// empty otherwise.
   std::vector<uint64_t> NurPublishedBits;
   std::vector<uint64_t> TenPublishedBits;
-  bool ParallelArm = false;
+  unsigned GcWorkers = 0; ///< Parallel evacuation workers; 0 = serial.
   bool MinorActive = false;
   bool MajorActive = false;
   uint64_t BytesAllocatedTotal = 0;

@@ -16,11 +16,13 @@ Heap::Heap(size_t CapacityBytes) {
 void Heap::beginCollection(size_t NewCapacityWords) {
   assert(!Collecting && "collection already in progress");
   ToCapacityWords = NewCapacityWords ? NewCapacityWords : CapacityWords;
-  ToSpace = std::make_unique<Word[]>(ToCapacityWords);
+  size_t Reserve = evacuationReserveWords(ToCapacityWords, GcWorkers);
+  ToSpace = std::make_unique<Word[]>(ToCapacityWords + Reserve);
   ToBase = ToAlloc = ToSpace.get();
   ToEnd = ToBase + ToCapacityWords;
+  ToLimit = ToEnd + Reserve;
   ForwardBits.assign((CapacityWords + 63) / 64, 0);
-  if (ParallelArm)
+  if (GcWorkers)
     PublishedBits.assign(ForwardBits.size(), 0);
   Collecting = true;
 }
@@ -31,7 +33,9 @@ void Heap::endCollection() {
   Space = std::move(ToSpace);
   Base = Space.get();
   Alloc = ToAlloc;
-  CapacityWords = ToCapacityWords;
+  // A parallel evacuation that spilled into the reserve leaves the space
+  // full: the spill joins the capacity, so contains() covers it.
+  CapacityWords = std::max(ToCapacityWords, (size_t)LastSurvivorWords);
   End = Base + CapacityWords;
   ForwardBits.clear();
   ForwardBits.shrink_to_fit();

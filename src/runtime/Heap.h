@@ -18,6 +18,7 @@
 #ifndef TFGC_RUNTIME_HEAP_H
 #define TFGC_RUNTIME_HEAP_H
 
+#include "runtime/Carve.h"
 #include "runtime/Value.h"
 
 #include <algorithm>
@@ -49,7 +50,7 @@ public:
   }
 
   /// Carves a TLAB chunk of at least \p MinWords (and preferably
-  /// \p PreferredWords) off the shared allocation cursor with a CAS loop,
+  /// \p PreferredWords) off the shared allocation cursor (runtime/Carve.h),
   /// so concurrent mutator threads refill lock-free. On success sets
   /// [OutTop, OutEnd) and returns true; false when the remaining space
   /// can't fit \p MinWords. Chunk accounting lands in
@@ -59,22 +60,14 @@ public:
   /// through TLABs.
   bool refillTlab(size_t MinWords, size_t PreferredWords, Word *&OutTop,
                   Word *&OutEnd) {
-    std::atomic_ref<Word *> A(Alloc);
-    Word *Cur = A.load(std::memory_order_relaxed);
-    for (;;) {
-      size_t Avail = (size_t)(End - Cur);
-      if (Avail < MinWords)
-        return false;
-      size_t Take = std::min(Avail, std::max(MinWords, PreferredWords));
-      if (A.compare_exchange_weak(Cur, Cur + Take,
-                                  std::memory_order_relaxed)) {
-        OutTop = Cur;
-        OutEnd = Cur + Take;
-        std::atomic_ref<uint64_t>(BytesAllocatedTotal)
-            .fetch_add(Take * sizeof(Word), std::memory_order_relaxed);
-        return true;
-      }
-    }
+    if (!carve(Alloc, End, End, MinWords,
+               [PreferredWords](size_t) { return PreferredWords; }, OutTop,
+               OutEnd))
+      return false;
+    std::atomic_ref<uint64_t>(BytesAllocatedTotal)
+        .fetch_add((size_t)(OutEnd - OutTop) * sizeof(Word),
+                   std::memory_order_relaxed);
+    return true;
   }
 
   size_t capacityBytes() const { return CapacityWords * sizeof(Word); }
@@ -88,18 +81,16 @@ public:
 
   // -- Collector interface --------------------------------------------------
   /// Starts a collection into a fresh to-space of \p NewCapacityWords
-  /// (0 = keep the current capacity). From-space stays readable until
+  /// (0 = keep the current capacity), plus the evacuation reserve when
+  /// parallel tracing is armed. From-space stays readable until
   /// endCollection().
   void beginCollection(size_t NewCapacityWords = 0);
 
-  /// Allocates in to-space during a collection. Aborts on overflow (the
-  /// caller sizes to-space to at least the live data).
+  /// Allocates in to-space during a serial phase of a collection. Aborts
+  /// on overflow (the caller sizes to-space to at least the live data).
   Word *allocateInToSpace(size_t Words) {
     assert(Collecting && "not collecting");
-    assert(ToAlloc + Words <= ToEnd && "to-space overflow");
-    Word *P = ToAlloc;
-    ToAlloc += Words;
-    return P;
+    return evacuationBump(ToAlloc, ToLimit, Words, "to-space");
   }
 
   bool isForwarded(const Word *Obj) const {
@@ -122,16 +113,19 @@ public:
   }
 
   // -- Parallel tracing (claim/publish protocol) ----------------------------
-  /// Arms the two-bitmap protocol: beginCollection() additionally sizes a
-  /// "published" bitmap, and forwarding splits into claim (atomic fetch-or
-  /// on the forward bit; exactly one tracer wins an object) and publish
-  /// (write the forwarding address into word 0, then release the
+  /// Arms parallel evacuation by \p Workers GC workers (< 2 disarms).
+  /// beginCollection() then sizes a "published" bitmap and the to-space
+  /// reserve (runtime/Carve.h), and forwarding splits into claim (atomic
+  /// fetch-or on the forward bit; exactly one tracer wins an object) and
+  /// publish (write the forwarding address into word 0, then release the
   /// published bit). Losers spin in waitForwardee() until the winner
   /// publishes. Word 0 of a claimed-but-unpublished object is unstable,
   /// which is why tracers must read discriminants/code addresses only
   /// *after* winning the claim (core/Tracer.cpp).
-  void setParallelTracing(bool On) { ParallelArm = On; }
-  bool parallelTracing() const { return ParallelArm; }
+  void setParallelTracing(unsigned Workers) {
+    GcWorkers = Workers < 2 ? 0 : Workers;
+  }
+  bool parallelTracing() const { return GcWorkers != 0; }
 
   /// Lock-free read of the claim bit (parallel alreadyVisited fast path;
   /// a racing claim is re-arbitrated by tryClaimForward).
@@ -169,18 +163,11 @@ public:
     return Obj[0];
   }
 
-  /// To-space bump shared by concurrent GC workers (CAS loop). The serial
-  /// allocateInToSpace() and this must not interleave within one phase.
-  Word *allocateInToSpaceParallel(size_t Words) {
+  /// A GC worker's copy buffer over to-space. Workers' buffers and the
+  /// serial allocateInToSpace() must not interleave within one phase.
+  CopyBuffer toSpaceBuffer() {
     assert(Collecting && "not collecting");
-    std::atomic_ref<Word *> A(ToAlloc);
-    Word *Cur = A.load(std::memory_order_relaxed);
-    for (;;) {
-      assert(Words <= (size_t)(ToEnd - Cur) && "to-space overflow");
-      if (A.compare_exchange_weak(Cur, Cur + Words,
-                                  std::memory_order_relaxed))
-        return Cur;
-    }
+    return CopyBuffer(ToAlloc, ToEnd, ToLimit, GcWorkers, "to-space");
   }
 
   /// True while collecting and P points into from-space.
@@ -188,7 +175,9 @@ public:
     return P >= (Word)(uintptr_t)Base && P < (Word)(uintptr_t)End;
   }
 
-  /// Discards from-space; to-space becomes the live space.
+  /// Discards from-space; to-space becomes the live space. A to-space
+  /// that parallel evacuation spilled into its reserve comes out full:
+  /// its capacity ends where the spill does.
   void endCollection();
 
   bool collecting() const { return Collecting; }
@@ -204,12 +193,14 @@ private:
   std::unique_ptr<Word[]> ToSpace; ///< Only alive during a collection.
   Word *Base = nullptr, *Alloc = nullptr, *End = nullptr;
   Word *ToBase = nullptr, *ToAlloc = nullptr, *ToEnd = nullptr;
+  Word *ToLimit = nullptr; ///< End of to-space's evacuation reserve.
   size_t CapacityWords = 0;
   size_t ToCapacityWords = 0;
   std::vector<uint64_t> ForwardBits;
-  /// Sized alongside ForwardBits while ParallelArm; empty otherwise.
+  /// Sized alongside ForwardBits while parallel tracing is armed; empty
+  /// otherwise.
   std::vector<uint64_t> PublishedBits;
-  bool ParallelArm = false;
+  unsigned GcWorkers = 0; ///< Parallel evacuation workers; 0 = serial.
   bool Collecting = false;
   uint64_t BytesAllocatedTotal = 0;
   uint64_t LastSurvivorWords = 0;

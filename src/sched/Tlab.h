@@ -5,8 +5,8 @@
 /// out of a shared bump space so the mutator allocation fast path is two
 /// thread-local pointer updates with no shared-memory traffic. Refill
 /// (Heap::refillTlab / GenHeap::refillTlab) claims the next chunk off the
-/// shared cursor with a CAS loop, so the whole allocation path is
-/// lock-free for the copying and generational heaps.
+/// shared cursor through carve() (runtime/Carve.h), so the whole
+/// allocation path is lock-free for the copying and generational heaps.
 ///
 /// Invariants (DESIGN.md section 11):
 ///  * A TLAB window is owned by exactly one mutator thread and is never

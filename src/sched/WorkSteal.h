@@ -2,9 +2,9 @@
 ///
 /// \file
 /// A growable single-owner work-stealing deque (Chase & Lev, SPAA'05) used
-/// by the parallel trace phase: each GC worker owns one deque, pushes and
-/// pops gray work at the bottom, and steals from the top of other workers'
-/// deques when its own runs dry.
+/// by the parallel trace phase: each GC worker owns one deque of stack
+/// indices, pushes and pops at the bottom, and steals from the top of
+/// other workers' deques when its own runs dry.
 ///
 /// Memory-ordering note: the orderings here are deliberately *stronger*
 /// than the minimal set proven sufficient by Le et al. (PPoPP'13). That

@@ -1,21 +1,26 @@
 //===- tests/threads_test.cpp - OS-thread tasking + safepoints -----------===//
 ///
-/// Exercises the sched/ subsystem end to end: the Chase-Lev deque and
-/// TLAB primitives in isolation, then the ThreadedRuntime against the
+/// Exercises the sched/ subsystem end to end: the Chase-Lev deque, TLAB
+/// and copy-buffer carving primitives in isolation, parallel evacuation
+/// into exactly full heap targets, then the ThreadedRuntime against the
 /// cooperative scheduler (the logical-semantics reference) across every
-/// strategy x algorithm, and finally a full-rate handshake stress with a
-/// live /metrics scraper hammering the introspection server while four
-/// mutator threads allocate as fast as they can.
+/// strategy x algorithm and every evacuation target, and finally a
+/// full-rate handshake stress with a live /metrics scraper hammering the
+/// introspection server while four mutator threads allocate as fast as
+/// they can.
 
 #include "TestUtil.h"
+#include "runtime/Carve.h"
 #include "sched/ThreadedTasking.h"
 #include "sched/WorkSteal.h"
 #include "support/Epoch.h"
 #include "support/Introspect.h"
+#include "support/Rng.h"
 #include "workloads/Programs.h"
 
 #include <arpa/inet.h>
 #include <atomic>
+#include <functional>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <thread>
@@ -128,6 +133,208 @@ TEST(Tlab, BumpAccountsAndRefusesOverflow) {
 }
 
 //===----------------------------------------------------------------------===//
+// Carving and copy buffers (runtime/Carve.h)
+//===----------------------------------------------------------------------===//
+
+TEST(Threads, CarveKeepsTlabSizing) {
+  // A TLAB carve has no reserve (Limit == End): it takes the preferred
+  // chunk, or what is left if at least the minimum fits, else nothing.
+  Word Backing[100] = {};
+  Word *Cursor = Backing, *End = Backing + 100;
+  auto Pref = [](size_t) { return (size_t)64; };
+  Word *Top, *ChunkEnd;
+  ASSERT_TRUE(carve(Cursor, End, End, 8, Pref, Top, ChunkEnd));
+  EXPECT_EQ(Top, Backing);
+  EXPECT_EQ(ChunkEnd, Backing + 64);
+  ASSERT_TRUE(carve(Cursor, End, End, 8, Pref, Top, ChunkEnd));
+  EXPECT_EQ(ChunkEnd - Top, 36);
+  EXPECT_FALSE(carve(Cursor, End, End, 1, Pref, Top, ChunkEnd));
+  EXPECT_EQ(Cursor, End);
+}
+
+TEST(Threads, CarveShrinksChunksNearTheEndAndStopsAtTheReserve) {
+  // One worker of two carving copy buffers for 4-word objects: chunks
+  // start at the cap, shrink with the room left, turn exact when the
+  // room is under one object, go past the logical end into the reserve
+  // only by one object, and fail without moving the cursor at its end.
+  constexpr size_t Capacity = 10000;
+  const size_t Reserve = evacuationReserveWords(Capacity, 2);
+  std::vector<Word> Backing(Capacity + Reserve);
+  Word *Cursor = Backing.data(), *End = Cursor + Capacity;
+  Word *Limit = End + Reserve;
+  auto Pref = [](size_t Left) { return copyBufferWords(Left, 2); };
+  size_t Prev = MaxCopyBufferWords;
+  bool SawShrunk = false, SawExact = false;
+  Word *Top, *ChunkEnd;
+  while (Cursor < End) {
+    size_t Left = (size_t)(End - Cursor);
+    ASSERT_TRUE(carve(Cursor, End, Limit, 4, Pref, Top, ChunkEnd));
+    size_t Size = (size_t)(ChunkEnd - Top);
+    EXPECT_LE(Size, Prev);
+    EXPECT_LE(Size, std::max<size_t>(4, Left / 16));
+    SawShrunk |= Size > 4 && Size < MaxCopyBufferWords;
+    SawExact |= Size == 4;
+    Prev = Size;
+  }
+  EXPECT_TRUE(SawShrunk);
+  EXPECT_TRUE(SawExact);
+  EXPECT_LE(Cursor, End + 3);
+  while (carve(Cursor, End, Limit, 4, Pref, Top, ChunkEnd))
+    EXPECT_EQ(ChunkEnd - Top, 4);
+  EXPECT_LE(Cursor, Limit);
+  EXPECT_LT((size_t)(Limit - Cursor), 4u);
+}
+
+/// One evacuated object: where it landed and how big it is. Every word
+/// holds the object's id, so an overlap shows as a clobbered word.
+struct Evacuated {
+  Word *At;
+  size_t Words;
+  Word Id;
+};
+
+/// \p Workers threads evacuate exactly \p LiveWords words of objects
+/// (mostly 2-6 words, now and then one too big to strand a buffer for)
+/// through their own copy buffer from \p MakeBuffer, the way a parallel
+/// trace does; returns every object.
+std::vector<Evacuated>
+evacuateInParallel(unsigned Workers, size_t LiveWords,
+                   const std::function<CopyBuffer()> &MakeBuffer) {
+  std::atomic<size_t> Budget{LiveWords};
+  std::vector<std::vector<Evacuated>> PerWorker(Workers);
+  std::vector<std::thread> Ts;
+  for (unsigned W = 0; W < Workers; ++W)
+    Ts.emplace_back([&, W] {
+      CopyBuffer Buf = MakeBuffer();
+      Rng R(W + 1);
+      for (Word Seq = 0;; ++Seq) {
+        size_t Want = R.range(0, 49) == 0 ? (size_t)R.range(9, 300)
+                                          : (size_t)R.range(2, 6);
+        size_t Old = Budget.load(std::memory_order_relaxed), N;
+        do {
+          if (Old == 0)
+            return;
+          N = std::min(Want, Old);
+        } while (!Budget.compare_exchange_weak(Old, Old - N,
+                                               std::memory_order_relaxed));
+        Word *P = Buf.allocate(N);
+        Word Id = ((Word)W << 48) | Seq;
+        for (size_t I = 0; I < N; ++I)
+          P[I] = Id;
+        PerWorker[W].push_back({P, N, Id});
+      }
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  std::vector<Evacuated> All;
+  for (auto &V : PerWorker)
+    All.insert(All.end(), V.begin(), V.end());
+  return All;
+}
+
+/// The objects are disjoint (no word clobbered) and inside \p In.
+void expectDisjointAndInside(const std::vector<Evacuated> &Objs,
+                             const std::function<bool(Word)> &In,
+                             const char *What) {
+  for (const Evacuated &O : Objs) {
+    for (size_t I = 0; I < O.Words; ++I)
+      ASSERT_EQ(O.At[I], O.Id) << What << ": overlapping objects";
+    ASSERT_TRUE(In((Word)(uintptr_t)O.At)) << What;
+    ASSERT_TRUE(In((Word)(uintptr_t)(O.At + O.Words - 1))) << What;
+  }
+}
+
+TEST(Threads, ConcurrentCarvesFillExactlyFullTargetsWithinTheReserve) {
+  // The worst case for copy buffers: every word of the evacuation target
+  // is live. Each of the four targets, at 2 and 4 workers, takes exactly
+  // its capacity in live objects; the stranded buffer ends must fit the
+  // reserve (an overflow aborts), the objects must not overlap, and a
+  // spill must leave the space full and inside its region test.
+  for (unsigned K : {2u, 4u}) {
+    SCOPED_TRACE(K);
+    {
+      Heap H(1 << 17);
+      H.setParallelTracing(K);
+      size_t Cap = H.capacityBytes() / sizeof(Word);
+      H.beginCollection();
+      auto Objs =
+          evacuateInParallel(K, Cap, [&] { return H.toSpaceBuffer(); });
+      H.endCollection();
+      expectDisjointAndInside(
+          Objs, [&](Word P) { return H.contains(P); }, "to-space");
+      EXPECT_GE(H.usedBytes(), Cap * sizeof(Word));
+      EXPECT_LE(H.usedBytes(), H.capacityBytes());
+    }
+    {
+      GenHeap H(1 << 17, 1 << 16);
+      H.setParallelTracing(K);
+      size_t Cap = H.nurseryCapacityWords();
+      H.beginMinor();
+      auto Objs =
+          evacuateInParallel(K, Cap, [&] { return H.survivorBuffer(); });
+      H.endMinor();
+      expectDisjointAndInside(
+          Objs, [&](Word P) { return H.inNursery(P); }, "nursery to-space");
+      EXPECT_GE(H.nurseryUsedWords(), Cap);
+      if (H.nurseryUsedWords() > Cap) {
+        EXPECT_EQ(H.nurseryFreeWords(), 0u);
+      }
+      EXPECT_EQ(H.capacityBytes(),
+                (std::max(Cap, H.nurseryUsedWords()) +
+                 H.tenuredCapacityWords()) *
+                    sizeof(Word));
+    }
+    {
+      GenHeap H(1 << 17, 1 << 16);
+      H.setParallelTracing(K);
+      size_t Cap = H.tenuredFreeWords();
+      H.beginMinor();
+      auto Objs =
+          evacuateInParallel(K, Cap, [&] { return H.tenuredBuffer(); });
+      H.endMinor();
+      expectDisjointAndInside(
+          Objs, [&](Word P) { return H.inTenured(P); }, "tenured space");
+      EXPECT_EQ(H.tenuredFreeWords(), 0u);
+      EXPECT_GE(H.tenuredUsedWords(), Cap);
+    }
+    {
+      // Armed only after a serial promotion: tenured cannot move, so its
+      // reserve comes off its own end.
+      GenHeap H(1 << 17, 1 << 16);
+      const size_t Before = H.tenuredCapacityWords();
+      H.beginMinor();
+      H.allocateInTenured(1000);
+      H.endMinor();
+      H.setParallelTracing(K);
+      EXPECT_LT(H.tenuredCapacityWords(), Before);
+      size_t Cap = H.tenuredFreeWords();
+      H.beginMinor();
+      auto Objs =
+          evacuateInParallel(K, Cap, [&] { return H.tenuredBuffer(); });
+      H.endMinor();
+      expectDisjointAndInside(
+          Objs, [&](Word P) { return H.inTenured(P); },
+          "tenured space armed late");
+      EXPECT_EQ(H.tenuredFreeWords(), 0u);
+      EXPECT_LE(H.tenuredCapacityWords(), Before);
+    }
+    {
+      GenHeap H(1 << 17, 1 << 16);
+      H.setParallelTracing(K);
+      const size_t Cap = 20000;
+      H.beginMajor(Cap);
+      auto Objs =
+          evacuateInParallel(K, Cap, [&] { return H.toSpaceBuffer(); });
+      H.endMajor();
+      expectDisjointAndInside(
+          Objs, [&](Word P) { return H.inTenured(P); }, "tenured to-space");
+      EXPECT_EQ(H.tenuredFreeWords(), 0u);
+      EXPECT_EQ(H.tenuredCapacityWords(), H.tenuredUsedWords());
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // ThreadedRuntime vs the cooperative reference
 //===----------------------------------------------------------------------===//
 
@@ -139,7 +346,8 @@ struct TWorld {
 };
 
 TWorld makeThreaded(const std::string &Source, GcStrategy S, GcAlgorithm A,
-                    size_t HeapBytes, unsigned GcThreads, bool Verify) {
+                    size_t HeapBytes, unsigned GcThreads, bool Verify,
+                    size_t NurseryBytes = 0) {
   TWorld W;
   CompileOptions O;
   O.TaskingSafe = true;
@@ -147,7 +355,7 @@ TWorld makeThreaded(const std::string &Source, GcStrategy S, GcAlgorithm A,
   std::string Err;
   W.P = C.compile(Source, &Err);
   EXPECT_TRUE(W.P != nullptr) << Err;
-  W.Col = W.P->makeCollector(S, A, HeapBytes, W.St, &Err);
+  W.Col = W.P->makeCollector(S, A, HeapBytes, W.St, &Err, NurseryBytes);
   EXPECT_TRUE(W.Col != nullptr) << Err;
   W.Col->setVerifyAfterGc(Verify);
   if (GcThreads >= 2)
@@ -219,6 +427,156 @@ TEST(Threads, ResultsMatchCooperativeAllStrategiesAllAlgorithms) {
       EXPECT_GT(W.St.get(StatId::GcVerifyPasses), 0u);
       EXPECT_EQ(W.St.get(StatId::GcVerifyViolations), 0u)
           << gcStrategyName(S) << "/" << gcAlgorithmName(A);
+    }
+  }
+}
+
+/// Each task keeps everything its spine of small trees holds; with
+/// \p g > 0 each step also builds and checks a garbage tree of depth g.
+/// With g = 0 every collection evacuates an all-live heap, so its target
+/// fills as far as the collector's sizing lets it.
+const char *ForestSource = R"(
+datatype tree = Leaf | Node of tree * int * tree;
+
+fun make (d : int) (v : int) : tree =
+  if d = 0 then Leaf else Node(make (d - 1) (2 * v), v, make (d - 1) (2 * v + 1));
+
+fun check (t : tree) : int =
+  case t of Leaf => 0 | Node(l, v, r) => (v + check l + check r) mod 1000003;
+
+fun grow (i : int) (g : int) (t : tree) : tree =
+  if i = 0 then t else grow (i - 1) g (Node(t, check (make g i), make 3 i));
+
+fun worker (s : int) (n : int) (g : int) : int = check (grow n g (make 4 s));
+worker 1 1 0
+)";
+
+/// What the collections of one run did: minors and majors, the longest
+/// run of minors in a row (the fourth minor after a promotion or a major
+/// promotes), and the fullest to-space a copying collection evacuated
+/// into: survivor words over the capacity the heap had before it (a
+/// collection that then grows the heap copies again into a bigger one).
+struct EvacuationLog : GcEventSink {
+  explicit EvacuationLog(size_t HeapBytes) : CapacityBytes(HeapBytes) {}
+  size_t CapacityBytes;
+  uint64_t Minor = 0, Major = 0;
+  unsigned MinorRun = 0, LongestMinorRun = 0;
+  double FullestToSpace = 0;
+  void onGcEvent(const GcEvent &E) override {
+    MinorRun = E.Kind == GcEventKind::Minor ? MinorRun + 1 : 0;
+    LongestMinorRun = std::max(LongestMinorRun, MinorRun);
+    if (E.Kind == GcEventKind::Minor)
+      ++Minor;
+    else if (E.Kind == GcEventKind::Major)
+      ++Major;
+    else
+      FullestToSpace = std::max(FullestToSpace,
+                                (double)(E.LiveWordsAfter * sizeof(Word)) /
+                                    (double)CapacityBytes);
+    CapacityBytes = E.HeapCapacityBytesAfter;
+  }
+};
+
+TEST(Threads, ParallelEvacuationIntoNearlyAllLiveTargets) {
+  // Every evacuation target, nearly all live, at 2 and 4 GC workers under
+  // every strategy, with verification after every collection: copy
+  // buffers strand space a serial trace never does, and a target that is
+  // nearly all live is where that could overflow it.
+  constexpr int Iters = 300;
+  auto Reference = [&](int64_t G) {
+    CompileOptions O;
+    O.TaskingSafe = true;
+    Compiler C(O);
+    std::string Err;
+    auto P = C.compile(ForestSource, &Err);
+    EXPECT_TRUE(P != nullptr) << Err;
+    Stats St;
+    auto Col = P->makeCollector(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, 8 << 20, St, &Err);
+    TaskingOptions TO;
+    TO.Policy = SuspendChecks::AtEveryCall;
+    TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
+    FuncId Worker = findFunction(P->Prog, "worker");
+    for (int64_t Seed = 1; Seed <= 4; ++Seed)
+      Rt.spawnInt(Worker, {Seed, Iters, G});
+    EXPECT_TRUE(Rt.runAll());
+    std::vector<std::string> Values;
+    for (const TaskResult &R : Rt.results())
+      Values.push_back(R.Value);
+    return Values;
+  };
+  const std::vector<std::string> Expected[] = {Reference(0), Reference(3)};
+
+  enum class Target { ToSpace, Minor, PromotingMinor, Major };
+  struct Config {
+    Target T;
+    const char *Name;
+    GcAlgorithm A;
+    size_t HeapBytes, NurseryBytes;
+    int64_t Garbage;
+  };
+  const Config Configs[] = {
+      // The heap fills with live data before each collection and grows
+      // only when a collection frees too little.
+      {Target::ToSpace, "copying to-space", GcAlgorithm::Copying, 32 << 10,
+       0, 0},
+      // Plenty of tenured space: a full nursery of live data evacuates
+      // into the survivor space.
+      {Target::Minor, "non-promoting minor", GcAlgorithm::Generational,
+       4 << 20, 16 << 10, 0},
+      // Garbage lets minors run four in a row; tenured starts just over
+      // two nurseries, so the second promotion nearly fills it.
+      {Target::PromotingMinor, "promoting minor", GcAlgorithm::Generational,
+       (16 + 33) << 10, 16 << 10, 3},
+      // A tenured space no bigger than the nursery: majors.
+      {Target::Major, "major", GcAlgorithm::Generational, 32 << 10, 16 << 10,
+       0},
+  };
+  for (const Config &C : Configs) {
+    for (unsigned K : {2u, 4u}) {
+      for (GcStrategy S : AllStrategies) {
+        std::string Ctx = std::string(C.Name) + ", " + std::to_string(K) +
+                          " workers, " + gcStrategyName(S);
+        TWorld W = makeThreaded(ForestSource, S, C.A, C.HeapBytes, K, true,
+                                C.NurseryBytes);
+        EvacuationLog Log(C.HeapBytes);
+        W.Col->telemetry().setEventSink(&Log);
+        FuncId Worker = findFunction(W.P->Prog, "worker");
+        for (int64_t Seed = 1; Seed <= (int64_t)K; ++Seed)
+          W.Rt->spawnInt(Worker, {Seed, Iters, C.Garbage});
+        ASSERT_TRUE(W.Rt->runAll()) << Ctx;
+        for (size_t I = 0; I < K; ++I)
+          EXPECT_EQ(W.Rt->results()[I].Value, Expected[C.Garbage != 0][I])
+              << Ctx << " task " << I;
+
+        EXPECT_GT(W.St.get(StatId::GcParallelTraces), 0u) << Ctx;
+        EXPECT_GT(W.St.get(StatId::GcVerifyPasses), 0u) << Ctx;
+        EXPECT_EQ(W.St.get(StatId::GcVerifyViolations), 0u) << Ctx;
+        W.Col->publishTelemetryStats();
+        EXPECT_GT(W.Col->telemetry().censusObjectsTotal(), 0u) << Ctx;
+        if (C.A == GcAlgorithm::Generational) {
+          uint64_t Allocated = W.St.get(StatId::HeapObjectsAllocated);
+          uint64_t Promoted = W.St.get("gc.promoted_objects");
+          uint64_t Dead = W.St.get("gc.young_dead_objects");
+          uint64_t Resident = W.St.get("gc.nursery_resident_objects");
+          EXPECT_EQ(Allocated, Promoted + Dead + Resident) << Ctx;
+        }
+        switch (C.T) {
+        case Target::ToSpace:
+          EXPECT_GT(W.St.get(StatId::GcHeapGrowths), 0u) << Ctx;
+          EXPECT_GE(Log.FullestToSpace, 0.9) << Ctx;
+          break;
+        case Target::Minor:
+          EXPECT_GT(Log.Minor, 0u) << Ctx;
+          break;
+        case Target::PromotingMinor:
+          EXPECT_GE(Log.LongestMinorRun, 4u) << Ctx;
+          break;
+        case Target::Major:
+          EXPECT_GT(Log.Major, 0u) << Ctx;
+          break;
+        }
+      }
     }
   }
 }

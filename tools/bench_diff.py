@@ -8,6 +8,15 @@ a real behavior change that slipped past the tests (an extra collection,
 a changed visit count, a lost superinstruction). Timings, by contrast,
 are machine-dependent: they are reported, never failed on.
 
+Rows from OS-thread runs (a `threads` field of 2 or more, E15) are not
+deterministic: the interleaving of real threads decides when each
+collection triggers, so two runs of the same source differ in most
+counters. Such a row must be present and satisfy the handshake
+invariants instead: task.gc_requests == task.world_stops ==
+sched.handshake_epochs (no lost or doubled world stop) and
+gc.parallel_traces > 0 (the parallel tracer engaged). Rows with
+`threads` 0 or 1 (sequential and cooperative runs) stay bit-identical.
+
 Usage:
   tools/bench_diff.py FRESH_DIR [--baseline DIR] [--bench NAME]...
                       [--warn-ratio R]
@@ -21,8 +30,8 @@ Usage:
                  baselines present)
   --warn-ratio R warn when a timing moved by more than R x (default 1.5)
 
-Exit status: 1 on counter drift (or a missing/extra run), 0 otherwise —
-timing warnings never fail the diff.
+Exit status: 1 on counter drift, a broken threaded-row invariant or a
+missing/extra run, 0 otherwise — timing warnings never fail the diff.
 
 Typical CI wiring:
   tools/run_benches.sh build && mkdir fresh && mv BENCH_*.json fresh/ \
@@ -38,8 +47,11 @@ import sys
 
 # Counters whose values are derived from wall-clock time: identical
 # behavior produces different numbers every run, so they are excluded
-# from the bit-identical contract.
-TIME_COUNTER_MARKERS = ("_ns", "pause_ns", "wall_ms")
+# from the bit-identical contract. The monitor's utilization ratios
+# (mon.mmu_*_ppm, mon.mutator_fraction_ppm) are pause time over wall
+# time.
+TIME_COUNTER_MARKERS = ("_ns", "pause_ns", "wall_ms", "mon.mmu_",
+                        "mon.mutator_fraction")
 
 
 def is_time_counter(name):
@@ -53,15 +65,33 @@ def run_key(run):
         run.get("algorithm", ""),
         run.get("heap_bytes", 0),
         run.get("nursery_bytes", 0),
+        run.get("threads", 0),
     )
 
 
 def fmt_key(key):
-    wl, strat, algo, heap, nursery = key
+    wl, strat, algo, heap, nursery, threads = key
     s = "%s/%s/%s heap=%d" % (wl, strat, algo, heap)
     if nursery:
         s += " nursery=%d" % nursery
+    if threads:
+        s += " threads=%d" % threads
     return s
+
+
+def threaded_invariant_failures(counters):
+    """What a threaded (threads >= 2) row breaks of its invariants."""
+    stops = [counters.get(c) for c in
+             ("task.gc_requests", "task.world_stops", "sched.handshake_epochs")]
+    failures = []
+    if None in stops or len(set(stops)) != 1:
+        failures.append("task.gc_requests/task.world_stops/"
+                        "sched.handshake_epochs = %s/%s/%s, not all equal"
+                        % tuple(stops))
+    if not counters.get("gc.parallel_traces", 0) > 0:
+        failures.append("gc.parallel_traces = %s, not > 0"
+                        % counters.get("gc.parallel_traces"))
+    return failures
 
 
 def diff_table_runs(name, base, fresh):
@@ -80,6 +110,10 @@ def diff_table_runs(name, base, fresh):
             continue
         bc = base_runs[key].get("counters", {})
         fc = fresh_runs[key].get("counters", {})
+        if key[-1] >= 2:
+            drift.extend("%s: %s: %s" % (name, fmt_key(key), f)
+                         for f in threaded_invariant_failures(fc))
+            continue
         for counter in sorted(set(bc) | set(fc)):
             if is_time_counter(counter):
                 continue
@@ -94,9 +128,9 @@ def diff_timings(name, base, fresh, warn_ratio):
     """Warn-only comparison of google-benchmark real_time medians."""
     warns = []
     base_bms = {b["name"]: b
-                for b in base.get("benchmark", {}).get("benchmarks", [])}
+                for b in (base.get("benchmark") or {}).get("benchmarks", [])}
     fresh_bms = {b["name"]: b
-                 for b in fresh.get("benchmark", {}).get("benchmarks", [])}
+                 for b in (fresh.get("benchmark") or {}).get("benchmarks", [])}
     for bm in sorted(set(base_bms) & set(fresh_bms)):
         bt = base_bms[bm].get("real_time", 0.0)
         ft = fresh_bms[bm].get("real_time", 0.0)
@@ -155,12 +189,14 @@ def main():
     for d in all_drift:
         print("DRIFT: %s" % d)
     if all_drift:
-        print("\nbench_diff: FAIL — %d counter drift(s) across %d bench(es); "
-              "counters are deterministic, so either fix the regression or "
+        print("\nbench_diff: FAIL — %d drift(s) across %d bench(es); "
+              "sequential counters are deterministic and threaded rows must "
+              "keep their invariants, so either fix the regression or "
               "re-run tools/run_benches.sh and commit the new baselines with "
               "the change that moved them" % (len(all_drift), compared))
         return 1
-    print("bench_diff: OK — %d bench(es), counters bit-identical%s" %
+    print("bench_diff: OK — %d bench(es), counters bit-identical, threaded "
+          "invariants hold%s" %
           (compared,
            ", %d timing warning(s)" % len(all_warns) if all_warns else ""))
     return 0
