@@ -10,10 +10,11 @@
 ///   profile  allocation-site attribution + typed snapshot: a counter
 ///            bump and an (addr, site) log append per allocation, a
 ///            binary-search lookup per first visit during collections.
-///   retain   profile + retention diagnostics: post-trace reference-graph
-///            scan and dominator tree on every full/major collection —
-///            the expensive tier, priced here so users know what
-///            --retainers costs before turning it on in a tight loop.
+///   retain   profile + retention diagnostics: a typed heap-graph capture
+///            (nodes and traced edges) and one dominator pass on every
+///            full/major collection — the expensive tier, priced here so
+///            users know what --retainers costs before turning it on in a
+///            tight loop.
 ///
 /// Reports wall-clock medians and ratios for listChurn (allocation-heavy,
 /// full copying) and generationalChurn (minor-dominated), plus the
@@ -25,6 +26,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+
+#include "support/HeapGraph.h"
 
 #include <algorithm>
 #include <array>
@@ -61,10 +64,13 @@ Stats profiledRun(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
   }
   HeapProfiler Local;
   HeapProfiler &Prof = ProfOut ? *ProfOut : Local;
+  HeapGraph Graph;
   if (Mode != Off) {
     attachHeapProfiler(P, S, *Col, Prof);
-    if (Mode == Retain)
+    if (Mode == Retain) {
+      Prof.setHeapGraph(&Graph);
       Prof.setRetainers(10);
+    }
   }
   Vm M(P.Prog, P.Image, *P.Types, *Col, defaultVmOptions(S));
   auto T0 = std::chrono::steady_clock::now();
@@ -74,6 +80,7 @@ Stats profiledRun(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
     std::fprintf(stderr, "bench run failed: %s\n", R.Error.c_str());
     std::abort();
   }
+  Prof.setHeapGraph(nullptr); // Graph dies with this frame; Prof may not.
   if (WallNs)
     *WallNs =
         (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(T1 -

@@ -97,7 +97,7 @@ void AppelCollector::traceOneStack(TaskStack &Stack, TagFreeTracer &Tr,
     {
       PhaseScope Dispatch(T, GcPhase::FrameDispatch);
       Tr.traceFrame(Stack.frameSlots(Fr), AM->procDescriptor(Fr.FuncId),
-                    &Env);
+                    &Env, Fr.FuncId);
     }
     Idx = Fr.DynamicLink;
   }

@@ -13,14 +13,6 @@
 
 using namespace tfgc;
 
-namespace {
-uint64_t nsSince(std::chrono::steady_clock::time_point Start) {
-  return (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - Start)
-      .count();
-}
-} // namespace
-
 const char *tfgc::gcAlgorithmName(GcAlgorithm A) {
   switch (A) {
   case GcAlgorithm::Copying:      return "copying";
@@ -222,13 +214,10 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
     // spans partition the pause: finer spans (pointer reversal, frame
     // dispatch, closure build, copy/sweep, verify) nest inside it and
     // steal their time from it, and whatever is in none of them — loop
-    // control, counter updates — stays charged to RootScan. The stats
-    // clock starts inside the span so its read is covered, not slack.
-    // The profiler's begin (side-table merge + index build) runs inside
-    // the span for the same reason: its time is pause, so it must be
-    // covered by a phase.
+    // control, counter updates — stays charged to RootScan. The
+    // profiler's begin (side-table merge + index build) runs inside the
+    // span: its time is pause, so it must be covered by a phase.
     PhaseScope Outer(&Tel, GcPhase::RootScan);
-    auto Start = std::chrono::steady_clock::now();
     if (Prof)
       Prof->beginCollection(GcEventKind::Full, nullptr);
 
@@ -275,14 +264,7 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
       St.add(StatId::GcBytesReclaimed, Reclaimed);
     }
 
-    // The pause counters exclude the diagnostic verify pass (historical
-    // behavior); the telemetry event includes it as its own phase.
-    auto Ns = (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count();
     St.add(StatId::GcCollections);
-    St.add(StatId::GcPauseNsTotal, Ns);
-    St.max(StatId::GcPauseNsMax, Ns);
 
     if (VerifyAfterGc)
       verifyPass(Roots);
@@ -290,19 +272,15 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
     if (Prof && Prof->enabled()) {
       uint64_t Covered = Copying ? (uint64_t)Copying->usedBytes()
                                  : Ms->liveWordsAfterSweep() * sizeof(Word);
-      Prof->finishCollection(Covered, nullptr,
-                             Prof->wantsRoots()
-                                 ? captureProfilerRoots(Roots)
-                                 : std::vector<HeapRoot>{});
+      Prof->finishCollection(Covered, nullptr);
     }
 
     // Finish while the RootScan span is still open: finishCollection's
     // one clock read closes the span AND stamps the pause, leaving zero
     // end-of-collection slack (Outer's destructor then no-ops because
     // the collection is already closed).
-    Tel.finishCollection(Copying ? Copying->survivorWords()
-                                 : Ms->liveWordsAfterSweep(),
-                         heapCapacityBytes());
+    finishPause(Copying ? Copying->survivorWords()
+                        : Ms->liveWordsAfterSweep());
   }
   epochSafepoint();
   // World still stopped: every ring's producer is parked or joined, so
@@ -311,19 +289,14 @@ void Collector::collect(RootSet &Roots, size_t NeedPayloadWords) {
     Flight->maybeDrain();
 }
 
-std::vector<HeapRoot> Collector::captureProfilerRoots(RootSet &Roots) const {
-  std::vector<HeapRoot> Out;
-  for (TaskStack *Stack : Roots.Stacks)
-    for (const FrameInfo &F : Stack->Frames) {
-      const Word *Slots = Stack->Slots.data() + F.SlotBase;
-      for (uint32_t I = 0; I < F.NumSlots; ++I) {
-        Word V = Slots[I];
-        if (Model == ValueModel::Tagged ? !isTaggedPointer(V) : V == 0)
-          continue;
-        Out.push_back({F.FuncId, I, V});
-      }
-    }
-  return Out;
+void Collector::finishPause(uint64_t LiveWordsAfter) {
+  // One clock for the counters and the pause histogram; the counters
+  // exclude the diagnostic verify pass, which the event carries as its
+  // own phase.
+  const GcEvent &E = Tel.finishCollection(LiveWordsAfter, heapCapacityBytes());
+  uint64_t Ns = E.PauseNs - E.PhaseNs[(size_t)GcPhase::Verify];
+  St.add(StatId::GcPauseNsTotal, Ns);
+  St.max(StatId::GcPauseNsMax, Ns);
 }
 
 void Collector::verifyPass(RootSet &Roots) {
@@ -355,7 +328,7 @@ void Collector::verifyPass(RootSet &Roots) {
     St.add(StatId::GcVerifyViolations, 1);
 }
 
-void Collector::recordRemset(Word *Slot, Type *Ty) {
+bool Collector::recordRemset(Word *Slot, Type *Ty) {
   // Concurrent mutators race here (the fast-path filters in writeBarrier
   // are read-only); cooperative runs never contend.
   std::unique_lock<std::mutex> Lock(MutatorMutex, std::defer_lock);
@@ -369,12 +342,12 @@ void Collector::recordRemset(Word *Slot, Type *Ty) {
     // Escalate the next collection to a full major, which needs no
     // remembered set.
     RemsetImprecise = true;
-    return;
+    return false;
   }
   if (!RemsetIndex.insert(Slot).second)
-    return; // Same tenured slot already buffered this cycle.
+    return false; // Same tenured slot already buffered this cycle.
   Remset.push_back({Slot, Ty});
-  St.add(StatId::GcRemsetEntries);
+  return true;
 }
 
 void Collector::pruneRemset() {
@@ -427,7 +400,6 @@ void Collector::minorCollection(RootSet &Roots, bool Promote) {
   // pause, finer phases nest inside it (the profiler's side-table merge
   // included), finishCollection closes both.
   PhaseScope Outer(&Tel, GcPhase::RootScan);
-  auto Start = std::chrono::steady_clock::now();
   if (Prof)
     Prof->beginCollection(GcEventKind::Minor,
                           [this](Word W) { return Gen->inTenured(W); });
@@ -467,11 +439,8 @@ void Collector::minorCollection(RootSet &Roots, bool Promote) {
   if (Sp.promotedWords())
     St.add(StatId::GcPromotedWords, Sp.promotedWords());
 
-  uint64_t Ns = nsSince(Start);
   St.add(StatId::GcCollections);
   St.add(StatId::GcMinorCollections);
-  St.add(StatId::GcPauseNsTotal, Ns);
-  St.max(StatId::GcPauseNsMax, Ns);
 
   if (VerifyAfterGc)
     verifyPass(Roots);
@@ -482,18 +451,16 @@ void Collector::minorCollection(RootSet &Roots, bool Promote) {
     // untraced tenured objects carry over to the next collection.
     uint64_t Covered =
         (Sp.survivorWords() + Sp.promotedWords()) * sizeof(Word);
-    Prof->finishCollection(
-        Covered, [this](Word W) { return Gen->inTenured(W); }, {});
+    Prof->finishCollection(Covered,
+                           [this](Word W) { return Gen->inTenured(W); });
   }
 
-  Tel.finishCollection(Gen->nurseryUsedWords() + Gen->tenuredUsedWords(),
-                       heapCapacityBytes());
+  finishPause(Gen->nurseryUsedWords() + Gen->tenuredUsedWords());
 }
 
 void Collector::majorCollection(RootSet &Roots, size_t Need) {
   Tel.beginCollection(GcEventKind::Major);
   PhaseScope Outer(&Tel, GcPhase::RootScan);
-  auto Start = std::chrono::steady_clock::now();
   if (Prof)
     Prof->beginCollection(GcEventKind::Major,
                           [this](Word W) { return Gen->inTenured(W); });
@@ -540,23 +507,16 @@ void Collector::majorCollection(RootSet &Roots, size_t Need) {
   if (heapCapacityBytes() > CapacityBefore)
     St.add(StatId::GcHeapGrowths);
 
-  uint64_t Ns = nsSince(Start);
   St.add(StatId::GcCollections);
   St.add(StatId::GcMajorCollections);
-  St.add(StatId::GcPauseNsTotal, Ns);
-  St.max(StatId::GcPauseNsMax, Ns);
 
   if (VerifyAfterGc)
     verifyPass(Roots);
 
   if (Prof && Prof->enabled())
-    Prof->finishCollection((uint64_t)Gen->usedBytes(), nullptr,
-                           Prof->wantsRoots()
-                               ? captureProfilerRoots(Roots)
-                               : std::vector<HeapRoot>{});
+    Prof->finishCollection((uint64_t)Gen->usedBytes(), nullptr);
 
-  Tel.finishCollection(Gen->nurseryUsedWords() + Gen->tenuredUsedWords(),
-                       heapCapacityBytes());
+  finishPause(Gen->nurseryUsedWords() + Gen->tenuredUsedWords());
 }
 
 void Collector::epochSafepoint() {

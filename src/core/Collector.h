@@ -174,12 +174,14 @@ public:
   /// whose value is not a young pointer, then records the slot in the
   /// sequential-store-buffer remembered set. Initializing stores never
   /// pass through here — every object is born in the nursery, so a fresh
-  /// object cannot be an old→young source (DESIGN.md section 6).
-  void writeBarrier(Word *Slot, Word Val, Type *StaticTy) {
+  /// object cannot be an old→young source (DESIGN.md section 6). Returns
+  /// whether a new remembered-set entry was buffered: the calling VM
+  /// counts gc.remset_entries on its own stats shard.
+  bool writeBarrier(Word *Slot, Word Val, Type *StaticTy) {
     if (!Gen)
-      return;
+      return false;
     if (!Gen->inTenured((Word)(uintptr_t)Slot))
-      return;
+      return false;
     // Under the tagged model only genuine pointers can be young; the
     // tag-free models conservatively admit unboxed values whose bits
     // happen to land in the nursery — harmless, because the remset scan
@@ -190,8 +192,8 @@ public:
     if (Model == ValueModel::Tagged ? !(isTaggedPointer(Val) &&
                                         Gen->inNursery(Val))
                                     : !Gen->inNursery(Val))
-      return;
-    recordRemset(Slot, StaticTy);
+      return false;
+    return recordRemset(Slot, StaticTy);
   }
 
 protected:
@@ -247,11 +249,9 @@ protected:
   std::unique_ptr<GenHeap> Gen;
 
 private:
-  void recordRemset(Word *Slot, Type *Ty);
-  /// Conservative retention roots: every slot of every suspended frame,
-  /// labeled frame-function:slot (the dominator pass drops values that
-  /// match no live object, so stale slots only cost a failed lookup).
-  std::vector<HeapRoot> captureProfilerRoots(RootSet &Roots) const;
+  bool recordRemset(Word *Slot, Type *Ty);
+  /// Closes the telemetry event; adds its pause to gc.pause_ns_total/max.
+  void finishPause(uint64_t LiveWordsAfter);
   void collectGenerational(RootSet &Roots, size_t Need);
   void minorCollection(RootSet &Roots, bool Promote);
   void majorCollection(RootSet &Roots, size_t Need);

@@ -89,9 +89,9 @@ void GoldbergCollector::traceOneStack(TaskStack &Stack, TagFreeTracer &Tr,
     Env.Binds = Binds.data();
     Word *Slots = Stack.frameSlots(Fr);
     if (Method == TraceMethod::Compiled)
-      Tr.traceFrame(Slots, CM->siteRoutine(Site), &Env);
+      Tr.traceFrame(Slots, CM->siteRoutine(Site), &Env, Fr.FuncId);
     else
-      Tr.traceFrame(Slots, IM->siteDescriptor(Site), &Env);
+      Tr.traceFrame(Slots, IM->siteDescriptor(Site), &Env, Fr.FuncId);
 
     if (K == 0)
       break; // Newest frame: nobody above.

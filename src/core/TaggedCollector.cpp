@@ -2,6 +2,8 @@
 
 #include "core/TaggedCollector.h"
 
+#include "support/HeapGraph.h"
+
 #include <vector>
 
 using namespace tfgc;
@@ -42,7 +44,7 @@ void TaggedCollector::drainScanList(Space &Sp, std::vector<Word> &ScanList,
                                     Stats &S, CensusCounts *Census) {
   // Heap-graph edge capture is decided per collection (never during the
   // census-sink parallel path or the verify pass, which both re-scan).
-  const bool EdgeRec = Prof && !Census && Prof->edgesActive();
+  HeapGraph *const Graph = Prof && !Census ? Prof->capture() : nullptr;
   while (!ScanList.empty()) {
     Word Ref = ScanList.back();
     ScanList.pop_back();
@@ -50,9 +52,9 @@ void TaggedCollector::drainScanList(Space &Sp, std::vector<Word> &ScanList,
     uint32_t Size = headerSize(Pl[-1]);
     for (uint32_t I = 0; I < Size; ++I) {
       Pl[I] = traceWord(Sp, ScanList, Pl[I], S, Census);
-      if (EdgeRec) [[unlikely]]
+      if (Graph) [[unlikely]]
         if (isTaggedPointer(Pl[I]))
-          Prof->recordEdge(Ref, I, Pl[I]);
+          Graph->recordEdge(Ref, I, Pl[I]);
     }
   }
 }
@@ -60,13 +62,18 @@ void TaggedCollector::drainScanList(Space &Sp, std::vector<Word> &ScanList,
 void TaggedCollector::traceOneStack(TaskStack &Stack, Space &Sp,
                                     std::vector<Word> &ScanList, Stats &S,
                                     CensusCounts *Census) {
+  HeapGraph *const Graph = Prof && !Census ? Prof->capture() : nullptr;
   for (FrameInfo &Fr : Stack.Frames) {
     S.add(StatId::GcFramesTraced);
     Word *Slots = Stack.frameSlots(Fr);
-    // No metadata: every slot of every frame is scanned.
+    // No metadata: every slot of every frame is scanned, and every slot
+    // holding a tagged pointer is a heap-graph root.
     for (uint32_t I = 0; I < Fr.NumSlots; ++I) {
       S.add(StatId::GcSlotsTraced);
       Slots[I] = traceWord(Sp, ScanList, Slots[I], S, Census);
+      if (Graph) [[unlikely]]
+        if (isTaggedPointer(Slots[I]))
+          Graph->recordRoot(&Slots[I], Fr.FuncId, I);
     }
   }
 }

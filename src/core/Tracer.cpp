@@ -24,7 +24,7 @@ Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
       return Result;
     case TypeRoutine::Form::FunValue:
       *Patch = traceClosureValue(V, nullptr, TR.FunStaticTy);
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, *Patch);
       return Result;
     case TypeRoutine::Form::Record:
@@ -40,7 +40,7 @@ Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -52,13 +52,13 @@ Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
                                                : CensusKind::Tuple,
             TR.PayloadWords);
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       for (const FieldAction &A : TR.Fields) {
         St.add(StatId::GcCompiledActions);
         Pl[A.Offset] = traceCompiled(Pl[A.Offset], A.Routine);
-        if (EdgeRec)
+        if (Graph)
           edge(NewRef, A.Offset, Pl[A.Offset]);
       }
       return Result;
@@ -75,7 +75,7 @@ Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -86,7 +86,7 @@ Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
       St.add(StatId::GcWordsVisited, TR.CtorSizes[Disc]);
       visit(V, NewRef, CensusKind::Data, TR.CtorSizes[Disc]);
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       const std::vector<FieldAction> &Acts = TR.CtorFields[Disc];
@@ -94,7 +94,7 @@ Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
       for (size_t I = 0; I + 1 < N; ++I) {
         St.add(StatId::GcCompiledActions);
         Pl[Acts[I].Offset] = traceCompiled(Pl[Acts[I].Offset], Acts[I].Routine);
-        if (EdgeRec)
+        if (Graph)
           edge(NewRef, Acts[I].Offset, Pl[Acts[I].Offset]);
       }
       if (N != 0) {
@@ -110,7 +110,7 @@ Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
           continue;
         }
         Pl[Last.Offset] = traceCompiled(Pl[Last.Offset], Last.Routine);
-        if (EdgeRec)
+        if (Graph)
           edge(NewRef, Last.Offset, Pl[Last.Offset]);
       }
       return Result;
@@ -160,7 +160,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
     }
     case DescKind::Fun:
       *Patch = traceClosureValue(V, nullptr, Desc.FunTy);
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, *Patch);
       return Result;
     case DescKind::Tuple: {
@@ -175,7 +175,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -184,14 +184,14 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       St.add(StatId::GcWordsVisited, Desc.Args.size());
       visit(V, NewRef, CensusKind::Tuple, Desc.Args.size());
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       // The interpreted method walks the descriptor for every field, even
       // ones with nothing to trace.
       for (size_t I = 0; I < Desc.Args.size(); ++I) {
         Pl[I] = traceDesc(Pl[I], Desc.Args[I], Env);
-        if (EdgeRec)
+        if (Graph && holdsRef(Desc.Args[I], Env))
           edge(NewRef, (uint32_t)I, Pl[I]);
       }
       return Result;
@@ -208,7 +208,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -217,11 +217,11 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       St.add(StatId::GcWordsVisited, 1);
       visit(V, NewRef, CensusKind::Ref, 1);
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       Pl[0] = traceDesc(Pl[0], Desc.Args[0], Env);
-      if (EdgeRec)
+      if (Graph && holdsRef(Desc.Args[0], Env))
         edge(NewRef, 0, Pl[0]);
       return Result;
     }
@@ -237,7 +237,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -248,7 +248,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
       St.add(StatId::GcWordsVisited, 1 + Shape.size());
       visit(V, NewRef, CensusKind::Data, 1 + Shape.size());
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
 
@@ -310,7 +310,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
             goto tail;
           }
           *Slot = traceDesc(*Slot, B.D, B.Env);
-          if (EdgeRec)
+          if (Graph && holdsRef(B.D, B.Env))
             edge(NewRef, (uint32_t)(1 + I), *Slot);
           continue;
         }
@@ -323,7 +323,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
             goto tail; // Same D, same Env: the list-spine loop.
           }
           *Slot = traceDesc(*Slot, D, Env);
-          if (EdgeRec)
+          if (Graph)
             edge(NewRef, (uint32_t)(1 + I), *Slot);
           continue;
         }
@@ -338,7 +338,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
             goto tail;
           }
           *Slot = traceDesc(*Slot, F, nullptr);
-          if (EdgeRec)
+          if (Graph && holdsRef(F, nullptr))
             edge(NewRef, (uint32_t)(1 + I), *Slot);
           continue;
         }
@@ -353,7 +353,7 @@ Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
           goto tail;
         }
         *Slot = traceDesc(*Slot, F, GetFieldEnv());
-        if (EdgeRec)
+        if (Graph)
           edge(NewRef, (uint32_t)(1 + I), *Slot);
       }
       return Result;
@@ -380,7 +380,7 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
       return Result;
     case TypeGc::Kind::Fun:
       *Patch = traceClosureValue(V, Tg, nullptr);
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, *Patch);
       return Result;
     case TypeGc::Kind::Record: {
@@ -395,7 +395,7 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -404,13 +404,13 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
       St.add(StatId::GcWordsVisited, Tg->NumArgs);
       visit(V, NewRef, CensusKind::Tuple, Tg->NumArgs);
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       for (uint32_t I = 0; I < Tg->NumArgs; ++I)
         if (Tg->Args[I]->K != TypeGc::Kind::Const) {
           Pl[I] = traceTg(Pl[I], Tg->Args[I]);
-          if (EdgeRec)
+          if (Graph)
             edge(NewRef, I, Pl[I]);
         }
       return Result;
@@ -427,7 +427,7 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -436,12 +436,12 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
       St.add(StatId::GcWordsVisited, 1);
       visit(V, NewRef, CensusKind::Ref, 1);
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       if (Tg->Args[0]->K != TypeGc::Kind::Const) {
         Pl[0] = traceTg(Pl[0], Tg->Args[0]);
-        if (EdgeRec)
+        if (Graph)
           edge(NewRef, 0, Pl[0]);
       }
       return Result;
@@ -458,7 +458,7 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
       // winner reaches them, and publish is what clobbers word 0.
       if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
         *Patch = NewRef;
-        if (EdgeRec)
+        if (Graph)
           edge(PatchObj, PatchField, NewRef);
         return Result;
       }
@@ -469,14 +469,14 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
       St.add(StatId::GcWordsVisited, 1 + NumFields);
       visit(V, NewRef, CensusKind::Data, 1 + NumFields);
       *Patch = NewRef;
-      if (EdgeRec)
+      if (Graph)
         edge(PatchObj, PatchField, NewRef);
       Word *Pl = Sp.payload(NewRef);
       const TypeGc *const *Fields = Tg->CtorFields[Disc];
       for (uint32_t I = 0; I + 1 < NumFields; ++I)
         if (Fields[I]->K != TypeGc::Kind::Const) {
           Pl[1 + I] = traceTg(Pl[1 + I], Fields[I]);
-          if (EdgeRec)
+          if (Graph)
             edge(NewRef, 1 + I, Pl[1 + I]);
         }
       if (NumFields != 0) {
@@ -490,7 +490,7 @@ Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
         }
         if (Last->K != TypeGc::Kind::Const) {
           Pl[NumFields] = traceTg(Pl[NumFields], Last);
-          if (EdgeRec)
+          if (Graph)
             edge(NewRef, NumFields, Pl[NumFields]);
         }
       }
@@ -574,12 +574,13 @@ Word TagFreeTracer::traceClosureValue(Word V, const TypeGc *FunTg,
     for (const FieldAction &A : CR.Fields) {
       St.add(StatId::GcCompiledActions);
       Pl[A.Offset] = traceCompiled(Pl[A.Offset], A.Routine);
-      if (EdgeRec)
+      if (Graph)
         edge(NewRef, A.Offset, Pl[A.Offset]);
     }
     for (const OpenAction &A : CR.Open) {
-      Pl[A.Index] = traceTg(Pl[A.Index], Eng.eval(A.Ty, Env));
-      if (EdgeRec)
+      const TypeGc *Tg = Eng.eval(A.Ty, Env);
+      Pl[A.Index] = traceTg(Pl[A.Index], Tg);
+      if (Graph && Tg->K != TypeGc::Kind::Const)
         edge(NewRef, A.Index, Pl[A.Index]);
     }
     break;
@@ -591,12 +592,13 @@ Word TagFreeTracer::traceClosureValue(Word V, const TypeGc *FunTg,
                                       : AM->closureDescriptor(L);
     for (const FrameDescriptor::SlotDesc &F : CD.Fields) {
       Pl[F.Slot] = traceDesc(Pl[F.Slot], F.Desc, nullptr);
-      if (EdgeRec)
+      if (Graph)
         edge(NewRef, F.Slot, Pl[F.Slot]);
     }
     for (const OpenAction &A : CD.Open) {
-      Pl[A.Index] = traceTg(Pl[A.Index], Eng.eval(A.Ty, Env));
-      if (EdgeRec)
+      const TypeGc *Tg = Eng.eval(A.Ty, Env);
+      Pl[A.Index] = traceTg(Pl[A.Index], Tg);
+      if (Graph && Tg->K != TypeGc::Kind::Const)
         edge(NewRef, A.Index, Pl[A.Index]);
     }
     break;
@@ -605,28 +607,40 @@ Word TagFreeTracer::traceClosureValue(Word V, const TypeGc *FunTg,
   return NewRef;
 }
 
+// The traced slots are the heap-graph roots: a dead or unboxed slot is
+// never one, whatever its bits.
 void TagFreeTracer::traceFrame(Word *Slots, const FrameRoutine &FR,
-                               const TgEnv *Env) {
+                               const TgEnv *Env, uint32_t Func) {
   for (const FrameRoutine::SlotAction &A : FR.Slots) {
     St.add(StatId::GcSlotsTraced);
     Slots[A.Slot] = traceCompiled(Slots[A.Slot], A.Routine);
+    if (Graph)
+      Graph->recordRoot(&Slots[A.Slot], Func, A.Slot);
   }
   for (const OpenAction &A : FR.Open) {
     St.add(StatId::GcSlotsTraced);
     assert(Env && "open slot without type parameter bindings");
-    Slots[A.Index] = traceTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
+    const TypeGc *Tg = Eng.eval(A.Ty, *Env);
+    Slots[A.Index] = traceTg(Slots[A.Index], Tg);
+    if (Graph && Tg->K != TypeGc::Kind::Const)
+      Graph->recordRoot(&Slots[A.Index], Func, A.Index);
   }
 }
 
 void TagFreeTracer::traceFrame(Word *Slots, const FrameDescriptor &FD,
-                               const TgEnv *Env) {
+                               const TgEnv *Env, uint32_t Func) {
   for (const FrameDescriptor::SlotDesc &A : FD.Slots) {
     St.add(StatId::GcSlotsTraced);
     Slots[A.Slot] = traceDesc(Slots[A.Slot], A.Desc, nullptr);
+    if (Graph)
+      Graph->recordRoot(&Slots[A.Slot], Func, A.Slot);
   }
   for (const OpenAction &A : FD.Open) {
     St.add(StatId::GcSlotsTraced);
     assert(Env && "open slot without type parameter bindings");
-    Slots[A.Index] = traceTg(Slots[A.Index], Eng.eval(A.Ty, *Env));
+    const TypeGc *Tg = Eng.eval(A.Ty, *Env);
+    Slots[A.Index] = traceTg(Slots[A.Index], Tg);
+    if (Graph && Tg->K != TypeGc::Kind::Const)
+      Graph->recordRoot(&Slots[A.Index], Func, A.Index);
   }
 }

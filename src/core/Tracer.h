@@ -30,7 +30,7 @@
 #include "gcmeta/CodeImage.h"
 #include "gcmeta/CompiledRoutines.h"
 #include "gcmeta/InterpretedMeta.h"
-#include "support/HeapProfile.h"
+#include "support/HeapGraph.h"
 
 #include <deque>
 
@@ -58,8 +58,7 @@ public:
                 Telemetry *Tel = nullptr, HeapProfiler *Prof = nullptr)
       : Prog(Prog), Img(Img), Eng(Eng), Sp(Sp), St(St), Method(Method),
         CM(CM), IM(IM), AM(AM), GlogerDummies(GlogerDummies), Tel(Tel),
-        Prof(Prof),
-        EdgeRec(Prof != nullptr && Prof->edgesActive()) {}
+        Prof(Prof), Graph(Prof ? Prof->capture() : nullptr) {}
 
   /// Binds one closure type parameter: by extraction path, or — under the
   /// Goldberg & Gloger '92 rule — to const_gc when no path exists (a value
@@ -84,8 +83,11 @@ public:
   Word traceClosureValue(Word V, const TypeGc *FunTg, Type *StaticFunTy);
 
   /// Frame tracing (Env required whenever the routine has open slots).
-  void traceFrame(Word *Slots, const FrameRoutine &FR, const TgEnv *Env);
-  void traceFrame(Word *Slots, const FrameDescriptor &FD, const TgEnv *Env);
+  /// \p Func names the frame's function for the heap-graph root labels.
+  void traceFrame(Word *Slots, const FrameRoutine &FR, const TgEnv *Env,
+                  uint32_t Func);
+  void traceFrame(Word *Slots, const FrameDescriptor &FD, const TgEnv *Env,
+                  uint32_t Func);
 
   /// Routes census increments into a thread-local accumulator instead of
   /// the (shared, unsynchronized) Telemetry event. Parallel GC workers
@@ -107,10 +109,11 @@ private:
   Telemetry *Tel;
   HeapProfiler *Prof;
   CensusCounts *Census = nullptr;
-  /// Cached at construction (tracers are built per collection, after the
-  /// profiler decided whether this collection's graph is captured): the
-  /// edge hooks below stay a single predictable branch when off.
-  const bool EdgeRec = false;
+  /// The graph capturing this collection, or null. Cached at construction
+  /// (tracers are built per collection, after the profiler decided
+  /// whether this collection's graph is captured): the edge and root
+  /// hooks stay a single predictable branch when off.
+  HeapGraph *const Graph;
 
   /// First-visit hook next to every visitNew; the (kind, words) increments
   /// mirror the gc.objects_visited / gc.words_visited counter increments.
@@ -127,12 +130,21 @@ private:
 
   /// Heap-graph edge hook: records that field \p Field of the object at
   /// (post-move) \p Parent holds \p Child. Parent 0 marks a root slot —
-  /// those come from the collector's root capture, not the edge stream.
-  /// Only called under `if (EdgeRec)`; non-reference children are
-  /// filtered when the capture is finalized.
+  /// traceFrame records those as roots. Only called under `if (Graph)`
+  /// and only for fields whose type can hold a reference; children that
+  /// are no object (null, nullary constructors) are filtered when the
+  /// capture is finalized.
   void edge(Word Parent, uint32_t Field, Word Child) {
     if (Parent)
-      Prof->recordEdge(Parent, Field, Child);
+      Graph->recordEdge(Parent, Field, Child);
+  }
+
+  /// False for a Leaf descriptor (after binding a parameter under
+  /// \p Env): its word is an unboxed value, never an edge or a root, even
+  /// when its bits equal a live address. The interpreted method walks
+  /// such fields too, so its edge hooks ask first.
+  bool holdsRef(DescId D, const DescEnvNode *Env) {
+    return descTable().desc(resolveArg(D, Env).D).Kind != DescKind::Leaf;
   }
 
   DescriptorTable &descTable() {

@@ -413,6 +413,9 @@ int tfgc::runTfgc(const CliOptions &O) {
   HeapGraph Graph;
   if (O.HeapProfile) {
     attachHeapProfiler(*P, O.Strategy, *Col, Prof);
+    // --retainers and --heap-dump both read the graph capture; without
+    // either it never fires.
+    Prof.setHeapGraph(&Graph);
     Prof.setRetainers(O.Retainers);
     Prof.setLabel(std::string(gcStrategyName(O.Strategy)) + "/" +
                   gcAlgorithmName(O.Algo));
@@ -425,7 +428,6 @@ int tfgc::runTfgc(const CliOptions &O) {
       return 2;
     }
     Graph.setEvery(O.HeapDumpEvery ? O.HeapDumpEvery : 1);
-    Prof.setHeapGraph(&Graph);
   }
 
   Monitor::Options MonOpts;

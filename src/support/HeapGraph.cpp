@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 
 using namespace tfgc;
@@ -43,40 +44,44 @@ bool HeapGraph::openFile(const std::string &Path, std::string *Err) {
 }
 
 void HeapGraph::configure(const std::vector<AllocSiteDesc> *S,
-                          const std::vector<std::string> *F, bool Tagged) {
+                          const std::vector<std::string> *F, bool Tagged,
+                          unsigned Retainers) {
   Sites = S;
   FuncNames = F;
   TaggedHeaders = Tagged;
+  TopRetainers = Retainers;
 }
 
 bool HeapGraph::beginCapture(GcEventKind Kind) {
   // Minors trace the nursery only; a partial graph would dangle into
   // the untraced tenured set, so only full/major collections are
   // eligible (and count against the every-N gate).
-  if (!active() || Kind == GcEventKind::Minor)
+  if (Kind == GcEventKind::Minor)
     return false;
   // Fire on the Nth, 2Nth, ... eligible collection (not the first): a
   // huge N is a true off-switch, which is also what makes the armed
-  // state free — see bench_heap_graph.
-  ++EligibleSeen;
-  if (EligibleSeen % Every != 0)
+  // state free — see bench_heap_graph. The gate counts only while a
+  // destination exists, so retainers never shift which chunks are
+  // written.
+  Dump = active() && ++EligibleSeen % Every == 0;
+  if (!Dump && !TopRetainers)
     return false;
-  Nodes.clear();
-  Edges.clear();
+  resetCapture();
   return true;
 }
 
 void HeapGraph::resetCapture() {
   Nodes.clear();
   Edges.clear();
+  Roots.clear();
 }
 
 void HeapGraph::finalizeCapture(
     uint64_t Seq, GcEventKind Kind, uint64_t CoveredBytes,
-    const std::vector<HeapRoot> &Roots,
     const std::array<HeapProfiler::Tally, NumCensusKinds> &ByKind,
     const std::vector<HeapProfiler::SiteLifetime> &Lifetimes,
-    const std::vector<uint64_t> &AllocCounts) {
+    const std::vector<uint64_t> &AllocCounts,
+    std::vector<RetainerInfo> &Retainers) {
   const size_t SiteCount = Sites ? Sites->size() : 0;
   const size_t NumSlots = SiteCount + 1; // Last slot = unknown bucket.
 
@@ -93,37 +98,28 @@ void HeapGraph::finalizeCapture(
     return (uint32_t)(It - Nodes.begin());
   };
 
-  // Resolve recorded references against the node set. Children that are
-  // no object (immediates, nulls) drop out here; under the tag-free
-  // models an unboxed value whose bits collide with a node address adds
-  // a conservative extra edge — same caveat as the retention pass.
+  // Resolve recorded references against the node set. The tracers
+  // record only fields (and root slots) whose reconstructed type or tag
+  // says they can hold a reference; children that are no object
+  // (nullary constructors, nulls) drop out here.
   std::vector<std::array<uint32_t, 3>> E; // {src, field, dst}
-  uint64_t Dropped = 0;
   E.reserve(Edges.size() / 2);
   for (const EdgeRec &Ed : Edges) {
-    if (TaggedHeaders && !isTaggedPointer(Ed.Child)) {
-      ++Dropped;
-      continue;
-    }
-    uint32_t D = FindNode(Ed.Child);
-    if (D == NoNode) {
-      ++Dropped;
-      continue;
-    }
-    uint32_t S = FindNode(Ed.Parent);
-    if (S == NoNode) {
-      ++Dropped; // Parent outside the capture (should not happen).
-      continue;
-    }
-    E.push_back({S, Ed.Field, D});
+    uint32_t D = FindNode(Ed.Child), S = FindNode(Ed.Parent);
+    if (D != NoNode && S != NoNode)
+      E.push_back({S, Ed.Field, D});
   }
   std::sort(E.begin(), E.end());
   E.erase(std::unique(E.begin(), E.end()), E.end());
 
+  // Stack order: a frame's slots sit above its caller's (std::less: the
+  // slots of several task stacks are unrelated arrays).
+  std::sort(Roots.begin(), Roots.end(),
+            [](const HeapRoot &A, const HeapRoot &B) {
+              return std::less<const Word *>()(A.Where, B.Where);
+            });
   std::vector<std::pair<uint32_t, uint32_t>> RootsResolved; // (root, node)
   for (size_t I = 0; I < Roots.size(); ++I) {
-    if (TaggedHeaders && !isTaggedPointer(Roots[I].Value))
-      continue;
     uint32_t D = FindNode(Roots[I].Value);
     if (D != NoNode)
       RootsResolved.push_back({(uint32_t)I, D});
@@ -197,6 +193,8 @@ void HeapGraph::finalizeCapture(
     }
   }
 
+  // Reverse RPO visits children before their idom (an idom's RPO number
+  // is always smaller), so one bottom-up pass accumulates exactly.
   std::vector<uint64_t> Retained(N + 1, 0);
   for (size_t I = 0; I < N; ++I)
     if (RpoNum[I] >= 0)
@@ -205,6 +203,13 @@ void HeapGraph::finalizeCapture(
     uint32_t V = Order[I];
     if (Idom[V] >= 0)
       Retained[(size_t)Idom[V]] += Retained[V];
+  }
+
+  if (TopRetainers)
+    rankRetainers(Succ, RpoNum, Retained, RootsResolved, Retainers);
+  if (!Dump) {
+    resetCapture();
+    return;
   }
 
   // -- Per-site retained with same-site dedup: a node contributes its
@@ -249,7 +254,6 @@ void HeapGraph::finalizeCapture(
   Last.Kind = Kind;
   Last.Nodes = N;
   Last.Edges = E.size();
-  Last.DroppedEdges = Dropped;
   Last.RootRefs = RootsResolved.size();
   for (const NodeRec &Nd : Nodes) {
     // Graph-derived census (the chunk footer carries the profiler's own
@@ -327,9 +331,81 @@ void HeapGraph::finalizeCapture(
   ++Chunks;
   if (Sink)
     Sink(Framed);
+  resetCapture();
+}
 
-  Nodes.clear();
-  Edges.clear();
+void HeapGraph::rankRetainers(
+    const std::vector<std::vector<uint32_t>> &Succ,
+    const std::vector<int> &RpoNum, const std::vector<uint64_t> &Retained,
+    const std::vector<std::pair<uint32_t, uint32_t>> &RootsResolved,
+    std::vector<RetainerInfo> &Out) const {
+  const size_t N = Nodes.size();
+  const uint32_t RootN = (uint32_t)N;
+  const size_t SiteCount = Sites ? Sites->size() : 0;
+
+  std::vector<uint32_t> Ranked;
+  for (uint32_t V = 0; V < (uint32_t)N; ++V)
+    if (RpoNum[V] >= 0)
+      Ranked.push_back(V);
+  // Ties go to the earlier node in reverse postorder (unique per node,
+  // so the ranking is deterministic).
+  size_t Top = std::min<size_t>(Ranked.size(), TopRetainers);
+  std::partial_sort(Ranked.begin(), Ranked.begin() + Top, Ranked.end(),
+                    [&](uint32_t A, uint32_t B) {
+                      if (Retained[A] != Retained[B])
+                        return Retained[A] > Retained[B];
+                      return RpoNum[A] < RpoNum[B];
+                    });
+  Ranked.resize(Top);
+
+  // BFS parents give each reported retainer one sample root path.
+  std::vector<int> Parent(N + 1, -1);
+  std::vector<uint32_t> Queue{RootN};
+  for (size_t Qi = 0; Qi < Queue.size(); ++Qi)
+    for (uint32_t W : Succ[Queue[Qi]])
+      if (Parent[W] < 0) {
+        Parent[W] = (int)Queue[Qi];
+        Queue.push_back(W);
+      }
+  auto Descr = [&](uint32_t V) {
+    const NodeRec &Nd = Nodes[V];
+    std::string S = censusKindName((CensusKind)Nd.Kind);
+    if (Nd.Site < SiteCount) {
+      const AllocSiteDesc &D = (*Sites)[Nd.Site];
+      S += "@" + D.Func + (D.Line ? ":" + std::to_string(D.Line) : "");
+    }
+    return S;
+  };
+
+  Out.clear();
+  for (uint32_t V : Ranked) {
+    const NodeRec &Nd = Nodes[V];
+    RetainerInfo R;
+    R.Addr = Nd.Addr;
+    R.Site = Nd.Site < SiteCount ? Nd.Site : HeapProfiler::UnknownSite;
+    R.Kind = (CensusKind)Nd.Kind;
+    R.SelfBytes = Nd.Words * sizeof(Word);
+    R.RetainedBytes = Retained[V];
+    // Climb the BFS tree to the root; cap the sample path so a deep list
+    // spine reports its head, not a thousand hops.
+    std::vector<uint32_t> Chain;
+    for (int C = (int)V; C != (int)RootN && Chain.size() < 64; C = Parent[C])
+      Chain.push_back((uint32_t)C);
+    // Label a root-held head with the first root slot that holds it.
+    for (const auto &[RI, NI] : RootsResolved)
+      if (NI == Chain.back()) {
+        const HeapRoot &Root = Roots[RI];
+        R.Path.push_back((FuncNames && Root.Func < FuncNames->size()
+                              ? (*FuncNames)[Root.Func]
+                              : "fn" + std::to_string(Root.Func)) +
+                         ":slot" + std::to_string(Root.Slot));
+        break;
+      }
+    size_t Shown = 0;
+    for (size_t I = Chain.size(); I-- > 0 && Shown < 12; ++Shown)
+      R.Path.push_back(Descr(Chain[I]));
+    Out.push_back(std::move(R));
+  }
 }
 
 std::string HeapGraph::serializeChunk(

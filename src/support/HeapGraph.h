@@ -5,27 +5,34 @@
 /// machinery reconstructs every live object's shape at collection time;
 /// this subsystem additionally records, during selected collections, the
 /// *edges* the tracers follow (parent object, field index, child object)
-/// and streams the resulting typed graph to a binary dump file
-/// (`--heap-dump=FILE`), one self-contained chunk per captured
-/// collection. `tools/heap_graph_report.py` decodes, checks, and diffs
-/// the chunks.
+/// — only fields whose reconstructed type can hold a reference, so an
+/// unboxed int never becomes an edge — and runs one dominator pass
+/// (Cooper-Harvey-Kennedy) over the rooted graph. Two views read it:
+///
+///  * `--heap-dump=FILE` streams the graph, one self-contained chunk per
+///    captured collection; `tools/heap_graph_report.py` decodes, checks,
+///    and diffs the chunks.
+///  * `--retainers=N` fills HeapProfiler::Snapshot::Retainers with the
+///    top-N nodes by retained size, each with one sample root path.
 ///
 /// Capture policy: graphs are captured at **full and major** collections
 /// only (a minor's trace covers the nursery, so its "graph" would dangle
-/// into the untraced tenured set — the same reason the retention pass
-/// skips minors), every `--heap-dump-every=N`-th eligible collection.
-/// Chunks are serialized and flushed as soon as the collection finishes,
-/// so a run that exits abnormally (e.g. verify-violation exit 3) still
-/// leaves every captured chunk decodable on disk; the Cli artifact-flush
-/// path calls finish() to close the stream on every exit.
+/// into the untraced tenured set). With `--retainers` every eligible
+/// collection is captured; a dump destination additionally serializes
+/// every `--heap-dump-every=N`-th eligible collection, and the dump
+/// bytes do not depend on whether retainers are on. Chunks are
+/// serialized and flushed as soon as the collection finishes, so a run
+/// that exits abnormally (e.g. verify-violation exit 3) still leaves
+/// every captured chunk decodable on disk; the Cli artifact-flush path
+/// calls finish() to close the stream on every exit.
 ///
 /// Each chunk carries, besides nodes (address, census kind, alloc site —
 /// whose static type string reconstructs the node's type — and size) and
-/// edges (field index), the per-site *retained* sizes computed by a
-/// dominator pass over the captured graph, their deltas against the
-/// previous capture (the differential leak-attribution signal), and the
-/// cumulative per-site lifetime statistics the profiler maintains
-/// (survival curves, death-age histograms, promotion attribution).
+/// edges (field index), the per-site *retained* sizes from the dominator
+/// pass, their deltas against the previous chunk (the differential
+/// leak-attribution signal), and the cumulative per-site lifetime
+/// statistics the profiler maintains (survival curves, death-age
+/// histograms, promotion attribution).
 ///
 /// Chunk framing: `"TFGH"` magic, u8 version, u8 flags (bit0 =
 /// tagged headers), u16 reserved, u32 little-endian body length, body.
@@ -90,26 +97,27 @@ public:
     Sink = std::move(S);
   }
 
-  /// Site/function tables and the header model, borrowed from the
-  /// profiler's configuration (stable after driver setup).
+  /// Site/function tables, the header model, and the retainer count
+  /// (0 = none), borrowed from the profiler's configuration (stable after
+  /// driver setup).
   void configure(const std::vector<AllocSiteDesc> *Sites,
                  const std::vector<std::string> *FuncNames,
-                 bool TaggedHeaders);
+                 bool TaggedHeaders, unsigned TopRetainers);
 
-  /// True once a destination (file or sink) exists — without one every
-  /// capture hook is a no-op.
+  /// True once a dump destination (file or sink) exists.
   bool active() const { return OutOpen || (bool)Sink; }
 
   // -- Capture lifecycle (driven by the HeapProfiler) ----------------------
 
   /// Called at the start of every collection the profiler sees; returns
-  /// true when this collection's graph should be captured (eligible
-  /// kind, every-N gate passes, a destination exists). Clears the
+  /// true when this collection's graph should be captured: an eligible
+  /// kind, and either retainers are wanted or a destination exists and
+  /// the every-N gate passes (only the latter is serialized). Clears the
   /// capture buffers when it fires.
   bool beginCapture(GcEventKind Kind);
 
   /// A copying grow-loop retraces from scratch; the aborted round's
-  /// partial node/edge capture is dropped.
+  /// partial node/edge/root capture is dropped.
   void resetCapture();
 
   /// First-visit hook (new address, i.e. post-move).
@@ -124,16 +132,25 @@ public:
     Edges.push_back({Parent, Child, Field});
   }
 
-  /// Ends a capture: resolves edges against the node set, runs the
-  /// dominator pass for per-site retained sizes, serializes the chunk,
-  /// appends it to the dump file (flushed immediately) and the sink.
-  /// \p Lifetimes/\p AllocCounts may be empty when site tracking is off.
+  /// One traced stack slot, read after the trace moved its referent.
+  /// Finalize orders roots by slot address — oldest frame first, slots
+  /// ascending, whatever order the strategy walked the stack in.
+  void recordRoot(const Word *Where, uint32_t Func, uint32_t Slot) {
+    Roots.push_back({Func, Slot, *Where, Where});
+  }
+
+  /// Ends a capture: resolves edges against the node set and runs the
+  /// dominator pass. With retainers on, replaces \p Retainers with the
+  /// top-N nodes by retained size; for a dumped capture, folds per-site
+  /// retained sizes, serializes the chunk, and appends it to the dump
+  /// file (flushed immediately) and the sink. \p Lifetimes/\p AllocCounts
+  /// may be empty when site tracking is off.
   void finalizeCapture(
       uint64_t Seq, GcEventKind Kind, uint64_t CoveredBytes,
-      const std::vector<HeapRoot> &Roots,
       const std::array<HeapProfiler::Tally, NumCensusKinds> &ByKind,
       const std::vector<HeapProfiler::SiteLifetime> &Lifetimes,
-      const std::vector<uint64_t> &AllocCounts);
+      const std::vector<uint64_t> &AllocCounts,
+      std::vector<RetainerInfo> &Retainers);
 
   /// Flushes and closes the dump stream (idempotent). Wired into the
   /// Cli artifact-flush path so abnormal exits keep the dump.
@@ -141,14 +158,15 @@ public:
 
   // -- Results (tests, introspection) --------------------------------------
 
+  /// Describes the last *dumped* capture (retainer-only captures leave it
+  /// alone).
   struct CaptureInfo {
     bool Valid = false;
     uint64_t Seq = 0;
     GcEventKind Kind = GcEventKind::Full;
     uint64_t Nodes = 0;
-    uint64_t Edges = 0;        ///< Edges that resolved to node pairs.
-    uint64_t DroppedEdges = 0; ///< Immediate-valued children, filtered.
-    uint64_t RootRefs = 0;     ///< Roots that resolved to a node.
+    uint64_t Edges = 0;    ///< Edges that resolved to node pairs.
+    uint64_t RootRefs = 0; ///< Roots that resolved to a node.
     std::array<HeapProfiler::Tally, NumCensusKinds> ByKind{};
     /// Ranked by RetainedBytes descending.
     std::vector<SiteRetainedRow> Retained;
@@ -172,6 +190,13 @@ private:
     Word Child;
     uint32_t Field;
   };
+  /// The top-N nodes by retained size, each with one BFS root path, from
+  /// the dominator pass's graph (node N = the virtual root).
+  void rankRetainers(
+      const std::vector<std::vector<uint32_t>> &Succ,
+      const std::vector<int> &RpoNum, const std::vector<uint64_t> &Retained,
+      const std::vector<std::pair<uint32_t, uint32_t>> &RootsResolved,
+      std::vector<RetainerInfo> &Out) const;
 
   std::string serializeChunk(
       uint64_t Seq, GcEventKind Kind, uint64_t CoveredBytes,
@@ -187,6 +212,7 @@ private:
   const std::vector<AllocSiteDesc> *Sites = nullptr;
   const std::vector<std::string> *FuncNames = nullptr;
   bool TaggedHeaders = false;
+  unsigned TopRetainers = 0;
 
   std::ofstream Out;
   bool OutOpen = false;
@@ -194,11 +220,13 @@ private:
   uint64_t Every = 1;
   uint64_t EligibleSeen = 0;
   uint64_t Chunks = 0;
+  bool Dump = false; ///< The current capture is serialized.
 
   std::vector<NodeRec> Nodes;
   std::vector<EdgeRec> Edges;
+  std::vector<HeapRoot> Roots;
 
-  /// Previous capture's retained-by-site (index = site, last = unknown),
+  /// Previous chunk's retained-by-site (index = site, last = unknown),
   /// for the delta column.
   std::vector<uint64_t> PrevRetained;
   std::vector<uint64_t> FirstRetained;

@@ -44,10 +44,6 @@ void HeapProfiler::setSites(std::vector<AllocSiteDesc> S) {
   Life.assign(Sites.size() + 1, SiteLifetime{});
 }
 
-void HeapProfiler::recordEdge(Word Parent, uint32_t Field, Word Child) {
-  Graph->recordEdge(Parent, Field, Child);
-}
-
 std::vector<uint64_t> HeapProfiler::allocCountsNow() const {
   std::vector<uint64_t> Counts = SiteAllocCounts;
   for (const AddrSite &E : AddrLog) // Allocated since the last collection.
@@ -65,7 +61,6 @@ void HeapProfiler::resetCollectionTallies() {
   CurWords = 0;
   CurAgeObs = 0;
   CurAgeHist.fill(0);
-  Objects.clear();
 }
 
 void HeapProfiler::beginCollection(GcEventKind Kind,
@@ -80,8 +75,9 @@ void HeapProfiler::beginCollection(GcEventKind Kind,
   MinorScope = Kind == GcEventKind::Minor && (bool)IsTenured;
   FirstRound = true;
   GraphActive = false;
+  assert((Graph || !TopRetainers) && "retainers need an attached HeapGraph");
   if (Graph) {
-    Graph->configure(&Sites, &FuncNames, TaggedHeaders);
+    Graph->configure(&Sites, &FuncNames, TaggedHeaders, TopRetainers);
     GraphActive = Graph->beginCapture(Kind);
   }
   resetCollectionTallies();
@@ -319,8 +315,6 @@ void HeapProfiler::recordVisit(Word OldRef, Word NewRef, CensusKind K,
     ++GT.Objects;
     GT.Words += Words;
   }
-  if (wantsRetention())
-    Objects.push_back({NewRef, Site, K, Words});
   if (GraphActive)
     Graph->recordNode(NewRef, Site == UnknownSite ? (uint32_t)Sites.size()
                                                   : Site,
@@ -328,8 +322,7 @@ void HeapProfiler::recordVisit(Word OldRef, Word NewRef, CensusKind K,
 }
 
 void HeapProfiler::finishCollection(
-    uint64_t CoveredBytes, const std::function<bool(Word)> &KeepUnvisited,
-    std::vector<HeapRoot> Roots) {
+    uint64_t CoveredBytes, const std::function<bool(Word)> &KeepUnvisited) {
   if (!Enabled || !InCollection)
     return;
   InCollection = false;
@@ -386,211 +379,16 @@ void HeapProfiler::finishCollection(
   Snap.Retainers.clear();
   Snap.AgeObservations = CurAgeObs;
   Snap.AgeHist = CurAgeHist;
-  // A minor collection's object list covers the young generation only, so
-  // dominator math over it would misattribute retention; retention reports
-  // ride full/major collections.
-  Snap.RetainersComputed =
-      wantsRetention() && CurEventKind != GcEventKind::Minor;
-  if (Snap.RetainersComputed)
-    computeRetention(Roots);
+  // Retainers ride the graph capture, which skips minor collections: a
+  // minor's trace covers the young generation only, so dominator math
+  // over it would misattribute retention.
+  Snap.RetainersComputed = GraphActive && TopRetainers > 0;
   if (GraphActive) {
-    Graph->finalizeCapture(Snap.Seq, CurEventKind, CoveredBytes, Roots,
-                           CurKind, Life, allocCountsNow());
+    Graph->finalizeCapture(Snap.Seq, CurEventKind, CoveredBytes, CurKind,
+                           Life, allocCountsNow(), Snap.Retainers);
     GraphActive = false;
   }
-  Objects.clear();
   IsTenured = nullptr;
-}
-
-void HeapProfiler::computeRetention(const std::vector<HeapRoot> &Roots) {
-  const size_t N = Objects.size();
-  std::sort(Objects.begin(), Objects.end(),
-            [](const ObjRec &A, const ObjRec &B) { return A.Addr < B.Addr; });
-  auto Find = [&](Word W) -> int {
-    auto It = std::lower_bound(
-        Objects.begin(), Objects.end(), W,
-        [](const ObjRec &O, Word V) { return O.Addr < V; });
-    if (It == Objects.end() || It->Addr != W)
-      return -1;
-    return (int)(It - Objects.begin());
-  };
-
-  // Reference graph: a payload word that exactly matches a recorded live
-  // address is an edge (under the tagged model the pointer tag filters
-  // candidates first; tag-free is conservative — an unboxed value whose
-  // bits collide with a live address adds a spurious edge, which can only
-  // understate retained sizes by merging dominators, never crash).
-  const uint32_t RootN = (uint32_t)N;
-  std::vector<std::vector<uint32_t>> Succ(N + 1);
-  std::vector<std::string> RootLabel(N);
-  for (const HeapRoot &R : Roots) {
-    if (TaggedHeaders && !isTaggedPointer(R.Value))
-      continue;
-    int J = Find(R.Value);
-    if (J < 0)
-      continue;
-    Succ[RootN].push_back((uint32_t)J);
-    if (RootLabel[J].empty()) {
-      std::string Fn = R.Func < FuncNames.size()
-                           ? FuncNames[R.Func]
-                           : "fn" + std::to_string(R.Func);
-      RootLabel[J] = Fn + ":slot" + std::to_string(R.Slot);
-    }
-  }
-  for (size_t I = 0; I < N; ++I) {
-    const ObjRec &O = Objects[I];
-    uint64_t PayloadWords = O.Words - (TaggedHeaders ? 1 : 0);
-    const Word *Pl = reinterpret_cast<const Word *>(O.Addr);
-    for (uint64_t K = 0; K < PayloadWords; ++K) {
-      Word W = Pl[K];
-      if (TaggedHeaders && !isTaggedPointer(W))
-        continue;
-      if (W == O.Addr)
-        continue;
-      int J = Find(W);
-      if (J >= 0)
-        Succ[I].push_back((uint32_t)J);
-    }
-  }
-
-  // Reverse postorder from the virtual root (unreachable objects — cycles
-  // kept alive only by each other would have died — cannot occur here; a
-  // conservatively-unmatched root just leaves its subgraph out of the
-  // report).
-  std::vector<int> RpoNum(N + 1, -1);
-  std::vector<uint32_t> Order;
-  {
-    std::vector<uint32_t> Post;
-    std::vector<std::pair<uint32_t, size_t>> Stack;
-    std::vector<uint8_t> Visited(N + 1, 0);
-    Stack.push_back({RootN, 0});
-    Visited[RootN] = 1;
-    while (!Stack.empty()) {
-      auto &[V, Ei] = Stack.back();
-      if (Ei < Succ[V].size()) {
-        uint32_t W = Succ[V][Ei++];
-        if (!Visited[W]) {
-          Visited[W] = 1;
-          Stack.push_back({W, 0});
-        }
-      } else {
-        Post.push_back(V);
-        Stack.pop_back();
-      }
-    }
-    Order.assign(Post.rbegin(), Post.rend());
-    for (size_t I = 0; I < Order.size(); ++I)
-      RpoNum[Order[I]] = (int)I;
-  }
-  std::vector<std::vector<uint32_t>> Pred(N + 1);
-  for (uint32_t V : Order)
-    for (uint32_t W : Succ[V])
-      if (RpoNum[W] >= 0)
-        Pred[W].push_back(V);
-
-  // Cooper-Harvey-Kennedy iterative dominators over the RPO.
-  std::vector<int> Idom(N + 1, -1);
-  Idom[RootN] = (int)RootN;
-  auto Intersect = [&](int A, int B) {
-    while (A != B) {
-      while (RpoNum[A] > RpoNum[B])
-        A = Idom[A];
-      while (RpoNum[B] > RpoNum[A])
-        B = Idom[B];
-    }
-    return A;
-  };
-  for (bool Changed = true; Changed;) {
-    Changed = false;
-    for (size_t I = 1; I < Order.size(); ++I) {
-      uint32_t V = Order[I];
-      int NewIdom = -1;
-      for (uint32_t P : Pred[V]) {
-        if (Idom[P] == -1)
-          continue;
-        NewIdom = NewIdom == -1 ? (int)P : Intersect((int)P, NewIdom);
-      }
-      if (NewIdom != -1 && Idom[V] != NewIdom) {
-        Idom[V] = NewIdom;
-        Changed = true;
-      }
-    }
-  }
-
-  // Retained size: own bytes plus everything in the dominator subtree.
-  // Reverse RPO visits children before their idom (idom's RPO number is
-  // always smaller), so one bottom-up pass accumulates exactly.
-  std::vector<uint64_t> Retained(N + 1, 0);
-  for (size_t I = 0; I < N; ++I)
-    if (RpoNum[I] >= 0)
-      Retained[I] = Objects[I].Words * sizeof(Word);
-  for (size_t I = Order.size(); I-- > 1;) {
-    uint32_t V = Order[I];
-    if (Idom[V] >= 0)
-      Retained[(size_t)Idom[V]] += Retained[V];
-  }
-
-  // BFS parents give each reported retainer one sample root path.
-  std::vector<int> Parent(N + 1, -1);
-  {
-    std::vector<uint32_t> Queue{RootN};
-    std::vector<uint8_t> Seen(N + 1, 0);
-    Seen[RootN] = 1;
-    for (size_t Qi = 0; Qi < Queue.size(); ++Qi) {
-      uint32_t V = Queue[Qi];
-      for (uint32_t W : Succ[V])
-        if (!Seen[W]) {
-          Seen[W] = 1;
-          Parent[W] = (int)V;
-          Queue.push_back(W);
-        }
-    }
-  }
-  auto Descr = [&](uint32_t V) {
-    const ObjRec &O = Objects[V];
-    std::string S = censusKindName(O.Kind);
-    if (O.Site != UnknownSite && O.Site < Sites.size()) {
-      const AllocSiteDesc &D = Sites[O.Site];
-      S += "@";
-      S += D.Func;
-      if (D.Line)
-        S += ":" + std::to_string(D.Line);
-    }
-    return S;
-  };
-
-  std::vector<uint32_t> Ranked;
-  for (uint32_t V = 0; V < (uint32_t)N; ++V)
-    if (RpoNum[V] >= 0)
-      Ranked.push_back(V);
-  std::sort(Ranked.begin(), Ranked.end(), [&](uint32_t A, uint32_t B) {
-    if (Retained[A] != Retained[B])
-      return Retained[A] > Retained[B];
-    return RpoNum[A] < RpoNum[B];
-  });
-  if (Ranked.size() > TopRetainers)
-    Ranked.resize(TopRetainers);
-
-  for (uint32_t V : Ranked) {
-    RetainerInfo R;
-    R.Addr = Objects[V].Addr;
-    R.Site = Objects[V].Site;
-    R.Kind = Objects[V].Kind;
-    R.SelfBytes = Objects[V].Words * sizeof(Word);
-    R.RetainedBytes = Retained[V];
-    // Climb the BFS tree to the root; cap the sample path so a deep list
-    // spine reports its head, not a thousand hops.
-    std::vector<uint32_t> Chain;
-    for (int C = (int)V; C != (int)RootN && C >= 0 && Chain.size() < 64;
-         C = Parent[C])
-      Chain.push_back((uint32_t)C);
-    if (!Chain.empty() && !RootLabel[Chain.back()].empty())
-      R.Path.push_back(RootLabel[Chain.back()]);
-    size_t Shown = 0;
-    for (size_t I = Chain.size(); I-- > 0 && Shown < 12; ++Shown)
-      R.Path.push_back(Descr(Chain[I]));
-    Snap.Retainers.push_back(std::move(R));
-  }
 }
 
 void HeapProfiler::writeSnapshotJson(std::ostream &OS) const {

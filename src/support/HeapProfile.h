@@ -21,12 +21,12 @@
 ///    collection, so the table follows objects through semispace flips,
 ///    nursery evacuation, and promotion without touching the mutator.
 ///
-///  * **Retention diagnostics.** Optionally the visit stream also records
-///    an object list; after the trace the profiler scans the live objects'
-///    payloads against the recorded address set to recover the reference
-///    graph, computes retained sizes via a dominator tree (Cooper-Harvey-
-///    Kennedy over the rooted graph), and reports the top-N dominators
-///    with a sample root path (stack frame + slot from the frame roots).
+///  * **Retention diagnostics.** The profiler owns no edges: at full and
+///    major collections an attached HeapGraph captures the typed edges
+///    the tracers follow, and its one dominator pass (Cooper-Harvey-
+///    Kennedy over the rooted graph) both feeds `--heap-dump` and fills
+///    the snapshot's top-N retainers by retained size, each with a
+///    sample root path (stack frame + slot from the frame roots).
 ///
 /// The profiler is paused during the post-GC verify pass (which re-runs
 /// the tracers) exactly like the telemetry census, so its per-collection
@@ -63,11 +63,12 @@ struct AllocSiteDesc {
   std::string TypeStr;
 };
 
-/// A labeled stack root captured for the retention pass.
+/// A labeled stack root of a heap-graph capture.
 struct HeapRoot {
   uint32_t Func = ~0u; ///< Index into the function-name table.
   uint32_t Slot = 0;
   Word Value = 0;
+  const Word *Where = nullptr; ///< The traced slot; orders the roots.
 };
 
 /// One retained-size report row.
@@ -174,33 +175,28 @@ public:
   }
 
   /// Report the top \p N retainers after each full/major collection
-  /// (0 disables the retention pass entirely).
+  /// (0 = none). The attached HeapGraph computes them from its capture,
+  /// so N > 0 requires setHeapGraph.
   void setRetainers(unsigned N) { TopRetainers = N; }
-  bool wantsRetention() const { return Enabled && TopRetainers > 0; }
 
-  /// Object words include a header word under the tagged model; the edge
-  /// scan must skip it and filter candidates by the pointer tag.
+  /// Tagged-model objects carry a header word; graph chunks say so.
   void setTaggedHeaders(bool T) { TaggedHeaders = T; }
 
   void setLabel(std::string L) { Label = std::move(L); }
 
-  /// Attaches the heap-graph dumper; beginCollection asks it whether to
-  /// capture this collection's graph and the visit/edge hooks feed it.
+  /// Attaches the heap graph; beginCollection asks it whether to capture
+  /// this collection's graph and the visit/edge hooks feed it.
   void setHeapGraph(HeapGraph *G) { Graph = G; }
 
-  // -- Heap-graph hooks (tracer hot path) -----------------------------------
+  // -- Heap-graph hook (tracer hot path) ------------------------------------
 
-  /// True while the current collection's graph is being captured (the
-  /// tracers cache this at construction; it never changes mid-trace).
-  /// False while paused — the verify pass re-runs the tracers.
-  bool edgesActive() const { return GraphActive && !Paused; }
-
-  /// Forwards one traced reference to the graph (only called under
-  /// edgesActive()). Out-of-line so this header needn't see HeapGraph.
-  void recordEdge(Word Parent, uint32_t Field, Word Child);
-
-  /// The collector captures stack roots when either consumer needs them.
-  bool wantsRoots() const { return wantsRetention() || GraphActive; }
+  /// The graph capturing the current collection, or null — also while
+  /// paused, since the verify pass re-runs the tracers. The tracers cache
+  /// it at construction (it never changes mid-trace) and record typed
+  /// edges and roots into it directly.
+  HeapGraph *capture() const {
+    return GraphActive && !Paused ? Graph : nullptr;
+  }
 
   // -- Mutator hot path -----------------------------------------------------
 
@@ -250,13 +246,10 @@ public:
   /// Ends the collection: rebuilds the side table for the next cycle
   /// (keeping unvisited entries that \p KeepUnvisited says survived — the
   /// tenured objects a minor collection never traces), snapshots the
-  /// tallies, and (when enabled and the collection covered the full
-  /// graph) runs the retention pass over \p Roots.
+  /// tallies, and finalizes the graph capture (if any).
   void finishCollection(uint64_t CoveredBytes,
-                        const std::function<bool(Word)> &KeepUnvisited,
-                        std::vector<HeapRoot> Roots);
+                        const std::function<bool(Word)> &KeepUnvisited);
 
-  bool inCollection() const { return InCollection; }
   uint64_t visitObjectsTotal() const { return VisitObjectsTotal; }
 
   // -- Results --------------------------------------------------------------
@@ -297,12 +290,6 @@ private:
     uint32_t Site;
     uint32_t AgeBits = 0;
   };
-  struct ObjRec {
-    Word Addr;
-    uint32_t Site;
-    CensusKind Kind;
-    uint64_t Words;
-  };
 
   void resetCollectionTallies();
   void buildLookupIndex();
@@ -313,7 +300,6 @@ private:
   /// histograms (they were live last cycle and were not visited by a
   /// full-coverage trace — dead).
   void accountDeaths(const std::function<bool(Word)> &Keep);
-  void computeRetention(const std::vector<HeapRoot> &Roots);
 
   bool Enabled = false;
   bool Paused = false;
@@ -391,10 +377,6 @@ private:
 
   HeapGraph *Graph = nullptr;
   bool GraphActive = false; ///< This collection's graph is being captured.
-
-  /// Live-object records for the retention pass (only filled when
-  /// wantsRetention()).
-  std::vector<ObjRec> Objects;
 
   Snapshot Snap;
 };

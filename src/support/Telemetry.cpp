@@ -70,9 +70,7 @@ uint64_t LogHistogram::percentile(double P) const {
   return MaxV;
 }
 
-Telemetry::Telemetry(size_t RingCapacity)
-    : Ring(RingCapacity ? RingCapacity : 1),
-      Epoch(std::chrono::steady_clock::now()) {}
+Telemetry::Telemetry() : Epoch(std::chrono::steady_clock::now()) {}
 
 uint64_t Telemetry::nowNs() const {
   return (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -109,8 +107,8 @@ GcPhase Telemetry::switchPhase(GcPhase P) {
   return Prev;
 }
 
-void Telemetry::finishCollection(uint64_t LiveWordsAfter,
-                                 uint64_t HeapCapacityBytesAfter) {
+const GcEvent &Telemetry::finishCollection(uint64_t LiveWordsAfter,
+                                           uint64_t HeapCapacityBytesAfter) {
   assert(InCollection && "no collection open");
   uint64_t Now = nowNs();
   if (Cur != GcPhase::NumPhases && !Paused)
@@ -136,7 +134,6 @@ void Telemetry::finishCollection(uint64_t LiveWordsAfter,
   if (TraceStream)
     emitTraceEvents(Event);
 
-  Ring[(size_t)(TotalCollections % Ring.size())] = Event;
   ++TotalCollections;
   InCollection = false;
   if (Flight) [[unlikely]]
@@ -144,14 +141,7 @@ void Telemetry::finishCollection(uint64_t LiveWordsAfter,
                    Event.Seq);
   if (Sink)
     Sink->onGcEvent(Event);
-}
-
-const GcEvent &Telemetry::event(size_t I) const {
-  assert(I < ringSize() && "event index out of range");
-  size_t Oldest = TotalCollections <= Ring.size()
-                      ? 0
-                      : (size_t)(TotalCollections % Ring.size());
-  return Ring[(Oldest + I) % Ring.size()];
+  return Event;
 }
 
 uint64_t Telemetry::censusObjectsTotal() const {
@@ -327,21 +317,5 @@ void Telemetry::writeStatsJson(std::ostream &OS, const Stats &St) const {
        << "\": {\"objects\": " << CensusObjTotals[I]
        << ", \"words\": " << CensusWordTotals[I] << "}";
   }
-  OS << "},\n  \"recent_collections\": [\n";
-  // Newest events only, capped so the dump stays readable.
-  size_t N = ringSize();
-  size_t MaxRecent = 64;
-  size_t Begin = N > MaxRecent ? N - MaxRecent : 0;
-  for (size_t I = Begin; I < N; ++I) {
-    const GcEvent &E = event(I);
-    OS << "    {\"seq\": " << E.Seq << ", \"kind\": \""
-       << gcEventKindName(E.Kind) << "\", \"start_ns\": " << E.StartNs
-       << ", \"pause_ns\": " << E.PauseNs << ", \"phases_ns\": {";
-    for (size_t J = 0; J < NumGcPhases; ++J)
-      OS << (J ? ", " : "") << '"' << gcPhaseName((GcPhase)J)
-         << "\": " << E.PhaseNs[J];
-    OS << "}, \"live_words\": " << E.LiveWordsAfter << "}"
-       << (I + 1 < N ? ",\n" : "\n");
-  }
-  OS << "  ]\n}\n";
+  OS << "}\n}\n";
 }

@@ -2,11 +2,11 @@
 ///
 /// \file
 /// Per-collection observability for the collectors. The aggregate Stats
-/// counters (gc.pause_ns_total/max) cannot attribute pause time to the
-/// machinery the paper moves work into — the stack walk, the
-/// pointer-reversal pass, frame-routine dispatch, type-GC closure
-/// construction — so every collector additionally records into a Telemetry
-/// instance:
+/// counters (gc.pause_ns_total/max, set from the closed event below)
+/// cannot attribute pause time to the machinery the paper moves work
+/// into — the stack walk, the pointer-reversal pass, frame-routine
+/// dispatch, type-GC closure construction — so every collector
+/// additionally records into a Telemetry instance:
 ///
 ///  * **Phase spans.** A switch-clock: entering a phase takes one
 ///    steady_clock read, which simultaneously closes the interval of the
@@ -32,13 +32,12 @@
 ///    increments exactly, so (with post-GC verification off) the census
 ///    totals equal those counters.
 ///
-///  * **Ring buffer.** One fixed-size GcEvent per collection, preallocated
-///    at construction: the GC path allocates nothing and keeps the newest
-///    `ringCapacity()` collections for inspection. Cumulative aggregates
-///    (histograms, phase totals, census totals) cover *all* collections
-///    regardless of ring size.
+///  * **Events.** One fixed-size GcEvent per collection, open from
+///    beginCollection to finishCollection: the GC path allocates nothing.
+///    Closed events fold into cumulative aggregates (histograms, phase
+///    totals, census totals) and go to the sinks; none is kept.
 ///
-/// Export paths (all opt-in; the sinks may allocate, the ring never does):
+/// Export paths (all opt-in; the sinks may allocate, the event never does):
 /// a structured one-line-per-collection log (`--gc-log`), a streaming
 /// Chrome trace_event JSON writer (`--trace-out`, viewable in
 /// chrome://tracing or Perfetto), and a counters+histograms+census JSON
@@ -58,7 +57,6 @@
 #include <cstdio>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 namespace tfgc {
 
@@ -165,7 +163,8 @@ private:
   uint64_t MinV = UINT64_MAX;
 };
 
-/// One collection's record. Fixed size: lives in the preallocated ring.
+/// One collection's record. Fixed size: the open event lives in the
+/// Telemetry.
 struct GcEvent {
   uint64_t Seq = 0;     ///< Collection ordinal (0-based, monotonic).
   uint64_t StartNs = 0; ///< Start time, ns since the Telemetry epoch.
@@ -212,8 +211,7 @@ public:
 
 class Telemetry {
 public:
-  static constexpr size_t DefaultRingCapacity = 1024;
-  explicit Telemetry(size_t RingCapacity = DefaultRingCapacity);
+  Telemetry();
 
   /// Nanoseconds since this Telemetry was constructed — the timebase of
   /// GcEvent::StartNs, exposed so mutator-side interval timestamps (the
@@ -247,10 +245,11 @@ public:
   // -- Collection lifecycle (driven by Collector::collect) ------------------
   void beginCollection(GcEventKind Kind = GcEventKind::Full);
   /// Closes the event: records the pause, folds the event into the
-  /// histograms/totals, pushes it into the ring, and feeds the log/trace
-  /// sinks. \p LiveWordsAfter comes from the heap survivor hooks.
-  void finishCollection(uint64_t LiveWordsAfter,
-                        uint64_t HeapCapacityBytesAfter);
+  /// histograms/totals, and feeds the log/trace/event sinks. Returns the
+  /// closed event (valid until the next beginCollection). \p
+  /// LiveWordsAfter comes from the heap survivor hooks.
+  const GcEvent &finishCollection(uint64_t LiveWordsAfter,
+                                  uint64_t HeapCapacityBytesAfter);
   bool inCollection() const { return InCollection; }
 
   // -- Phase switch-clock ---------------------------------------------------
@@ -293,14 +292,6 @@ public:
 
   // -- Inspection -----------------------------------------------------------
   uint64_t collections() const { return TotalCollections; }
-  size_t ringCapacity() const { return Ring.size(); }
-  size_t ringSize() const {
-    return TotalCollections < Ring.size() ? (size_t)TotalCollections
-                                          : Ring.size();
-  }
-  /// Retained events oldest-first: event(0) is the oldest still in the
-  /// ring, event(ringSize()-1) the newest.
-  const GcEvent &event(size_t I) const;
   const LogHistogram &pauseHistogram() const { return PauseHist; }
   /// Pause histogram restricted to collections of \p K (minor vs major
   /// pause percentiles under the generational algorithm).
@@ -338,14 +329,13 @@ public:
   void beginTrace(std::ostream &OS);
   void endTrace();
   /// Full JSON dump: Stats counters, pause/phase/world-stop histograms,
-  /// census totals, and the newest ring events.
+  /// and census totals.
   void writeStatsJson(std::ostream &OS, const Stats &St) const;
 
 private:
   void emitLogLine(const GcEvent &E) const;
   void emitTraceEvents(const GcEvent &E);
 
-  std::vector<GcEvent> Ring;
   GcEvent Event;
   uint64_t TotalCollections = 0;
   GcPhase Cur = GcPhase::NumPhases; ///< NumPhases = no active phase.

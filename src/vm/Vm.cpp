@@ -259,8 +259,8 @@ void Vm::fireSample(uint32_t FrameIdx, OpClass Cls) {
 void Vm::flushHotCounters() {
   // set() for cumulative per-VM counters (idempotent across repeated
   // flushes; sequential re-runs on the same Stats overwrite like the
-  // pre-sharding implementation did), add-with-reset for the two counters
-  // other components also contribute to.
+  // pre-sharding implementation did), add-with-reset for the counters
+  // that fold across VMs and other components.
   Shard->set(StatId::VmSteps, Steps);
   Shard->set(StatId::VmSuperinstructions, SuperExec);
   Shard->set(StatId::VmTailCalls, TailCallsExec);
@@ -274,6 +274,10 @@ void Vm::flushHotCounters() {
   SuspendChecksRun = 0;
   Shard->add(StatId::GcBarrierOps, BarrierOps);
   BarrierOps = 0;
+  if (RemsetEntries) { // Absent until the first entry, as before sharding.
+    Shard->add(StatId::GcRemsetEntries, RemsetEntries);
+    RemsetEntries = 0;
+  }
 }
 
 void Vm::flushCounters() {

@@ -230,6 +230,8 @@ private:
   uint64_t WordsZeroed = 0;
   uint64_t SuspendChecksRun = 0;
   uint64_t BarrierOps = 0;
+  /// Remembered-set entries this VM's stores buffered (gc.remset_entries).
+  uint64_t RemsetEntries = 0;
   /// Superinstructions executed (vm.superinstructions_executed).
   uint64_t SuperExec = 0;
   /// Frame-reusing self tail calls taken (vm.tail_calls).

@@ -5,8 +5,8 @@
 /// strategy and algorithm under post-GC verification, age-histogram
 /// totals, survival-curve monotonicity, promotion attribution summing
 /// exactly to gc.promoted_words, the minor-collection capture skip, the
-/// every-N gate, and differential leak attribution ranking a planted
-/// unbounded cache as suspect #1.
+/// every-N gate, dumps unchanged by --retainers, and differential leak
+/// attribution ranking a planted unbounded cache as suspect #1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +48,7 @@ struct GraphRun {
   std::unique_ptr<Collector> Col;
   HeapProfiler Prof;
   HeapGraph Graph;
-  uint64_t SinkChunks = 0;
+  std::vector<std::string> SinkChunks;
 };
 
 /// Runs \p Source with the profiler and (optionally) a sink-backed heap
@@ -57,7 +57,8 @@ std::unique_ptr<GraphRun>
 runGraphed(const std::string &Source, GcStrategy S, GcAlgorithm A,
            size_t HeapBytes = 1 << 14, bool Verify = false,
            bool AttachGraph = true, uint64_t Every = 1,
-           size_t NurseryBytes = 0, bool Stress = true) {
+           size_t NurseryBytes = 0, bool Stress = true,
+           unsigned Retainers = 0) {
   auto R = std::make_unique<GraphRun>();
   Compiled C = compile(Source);
   EXPECT_TRUE(C.P) << C.Error;
@@ -73,17 +74,55 @@ runGraphed(const std::string &Source, GcStrategy S, GcAlgorithm A,
   R->Col->setVerifyAfterGc(Verify);
   attachHeapProfiler(*R->P, S, *R->Col, R->Prof);
   if (AttachGraph) {
-    // Sink-only destination: no file needed, chunks count via the sink.
+    // Sink-only destination: no file needed, chunks land in SinkChunks.
     GraphRun *RP = R.get();
-    R->Graph.setChunkSink([RP](const std::string &) { ++RP->SinkChunks; });
+    R->Graph.setChunkSink(
+        [RP](const std::string &Chunk) { RP->SinkChunks.push_back(Chunk); });
     R->Graph.setEvery(Every);
     R->Prof.setHeapGraph(&R->Graph);
+    R->Prof.setRetainers(Retainers);
   }
   Vm M(R->P->Prog, R->P->Image, *R->P->Types, *R->Col,
        defaultVmOptions(S, /*GcStress=*/Stress));
   RunResult Run = M.run();
   EXPECT_TRUE(Run.Ok) << Run.Error << " under " << gcStrategyName(S);
   return R;
+}
+
+/// A framed chunk without its length word and with its first node's
+/// address zeroed — the one absolute address in a chunk (later nodes are
+/// address deltas, edges and roots node indices). That address is where
+/// malloc put the space the run's last evacuation filled, which any
+/// allocation earlier in the run can move.
+std::string withoutBaseAddress(const std::string &Chunk) {
+  size_t At = 12; // "TFGH", version, flags, reserved, u32 body length.
+  auto Varint = [&] {
+    uint64_t V = 0;
+    for (unsigned Shift = 0;; Shift += 7) {
+      uint8_t B = (uint8_t)Chunk.at(At++);
+      V |= (uint64_t)(B & 0x7f) << Shift;
+      if (!(B & 0x80))
+        return V;
+    }
+  };
+  auto Str = [&] { At += Varint(); };
+  Varint(); // seq
+  ++At;     // kind
+  Varint(); // covered bytes
+  for (uint64_t I = 0, N = Varint(); I < N; ++I) {
+    Str(); // func
+    Varint();
+    Varint();
+    Str(); // type
+  }
+  for (uint64_t I = 0, N = Varint(); I < N; ++I)
+    Str();
+  if (Varint() == 0)
+    return Chunk.substr(0, 8) + Chunk.substr(12);
+  size_t Addr = At;
+  Varint();
+  return Chunk.substr(0, 8) + Chunk.substr(12, Addr - 12) + '\0' +
+         Chunk.substr(At);
 }
 
 uint64_t byKindObjects(
@@ -120,7 +159,7 @@ TEST(HeapGraph, GraphInvariantsEveryStrategyAndAlgorithmUnderVerify) {
       ASSERT_TRUE(R) << Label;
       EXPECT_EQ(R->St.get(StatId::GcVerifyViolations), 0u) << Label;
       ASSERT_GT(R->Graph.chunksWritten(), 0u) << Label;
-      EXPECT_EQ(R->Graph.chunksWritten(), R->SinkChunks) << Label;
+      EXPECT_EQ(R->Graph.chunksWritten(), R->SinkChunks.size()) << Label;
 
       const HeapGraph::CaptureInfo &Cap = R->Graph.lastCapture();
       ASSERT_TRUE(Cap.Valid) << Label;
@@ -309,6 +348,38 @@ TEST(HeapGraph, EveryNGateThinsCaptures) {
   EXPECT_LE(Thinned->Graph.chunksWritten(),
             All->Graph.chunksWritten() / 4 + 1);
   EXPECT_GT(Thinned->Graph.chunksWritten(), 0u);
+}
+
+TEST(HeapGraph, DumpIsIndependentOfRetainers) {
+  // --retainers reads the capture --heap-dump serializes and must not
+  // change the dump: the same chunks are written, byte for byte apart
+  // from the base address, with and without retainers — every chunk and
+  // under the every-N gate, for full-copying and for generational
+  // (majors-only) captures.
+  for (GcAlgorithm A : {GcAlgorithm::Copying, GcAlgorithm::Generational})
+    for (uint64_t Every : {1u, 3u}) {
+      std::string Label = std::string(gcAlgorithmName(A)) + " every " +
+                          std::to_string(Every);
+      size_t Nursery = A == GcAlgorithm::Generational ? 1 << 12 : 0;
+      auto Plain = runGraphed(LeakySrc, GcStrategy::CompiledTagFree, A,
+                              1 << 14, /*Verify=*/false,
+                              /*AttachGraph=*/true, Every, Nursery);
+      auto Retain = runGraphed(LeakySrc, GcStrategy::CompiledTagFree, A,
+                               1 << 14, /*Verify=*/false,
+                               /*AttachGraph=*/true, Every, Nursery,
+                               /*Stress=*/true, /*Retainers=*/5);
+      ASSERT_TRUE(Plain && Retain) << Label;
+      EXPECT_TRUE(Retain->Prof.snapshot().RetainersComputed ||
+                  Retain->Prof.snapshot().Kind == GcEventKind::Minor)
+          << Label;
+      ASSERT_FALSE(Plain->SinkChunks.empty()) << Label;
+      ASSERT_EQ(Plain->SinkChunks.size(), Retain->SinkChunks.size())
+          << Label;
+      for (size_t I = 0; I < Plain->SinkChunks.size(); ++I)
+        EXPECT_EQ(withoutBaseAddress(Plain->SinkChunks[I]),
+                  withoutBaseAddress(Retain->SinkChunks[I]))
+            << Label << " chunk " << I;
+    }
 }
 
 TEST(HeapGraph, DetachedGraphIsInert) {

@@ -5,15 +5,18 @@
 /// the same totals) under post-GC verification for every strategy and
 /// algorithm, visit totals against the collector's own counters, site
 /// attribution surviving semispace flips and promotion, the generational
-/// nursery/tenured split, retention diagnostics, and the snapshot JSON.
+/// nursery/tenured split, retainers read off the typed heap-graph
+/// capture, and the snapshot JSON.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "support/HeapGraph.h"
 #include "support/HeapProfile.h"
 #include "workloads/Programs.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 using namespace tfgc;
@@ -26,16 +29,20 @@ struct ProfiledRun {
   Stats St;
   std::unique_ptr<CompiledProgram> P;
   std::unique_ptr<Collector> Col;
+  HeapGraph Graph;
   HeapProfiler Prof;
 };
 
-/// Runs \p Source with the profiler attached (and optionally post-GC
-/// verification and retention) under stress so collections are frequent.
+/// Runs \p Source with the profiler and a destination-less heap graph
+/// attached (and optionally post-GC verification and retainers) under
+/// stress so collections are frequent. \p BeforeRun sees the wired-up
+/// run just before the program starts.
 std::unique_ptr<ProfiledRun>
 runProfiled(const std::string &Source, GcStrategy S,
             GcAlgorithm A = GcAlgorithm::Copying, size_t HeapBytes = 1 << 14,
             bool Verify = false, unsigned Retainers = 0,
-            size_t NurseryBytes = 0) {
+            size_t NurseryBytes = 0,
+            const std::function<void(ProfiledRun &)> &BeforeRun = nullptr) {
   auto R = std::make_unique<ProfiledRun>();
   Compiled C = compile(Source);
   EXPECT_TRUE(C.P) << C.Error;
@@ -50,7 +57,10 @@ runProfiled(const std::string &Source, GcStrategy S,
     return nullptr;
   R->Col->setVerifyAfterGc(Verify);
   attachHeapProfiler(*R->P, S, *R->Col, R->Prof);
+  R->Prof.setHeapGraph(&R->Graph);
   R->Prof.setRetainers(Retainers);
+  if (BeforeRun)
+    BeforeRun(*R);
   Vm M(R->P->Prog, R->P->Image, *R->P->Types, *R->Col,
        defaultVmOptions(S, /*GcStress=*/true));
   RunResult Run = M.run();
@@ -156,33 +166,76 @@ TEST(HeapProfile, SiteAttributionSurvivesPromotion) {
   EXPECT_TRUE(AnySite);
 }
 
-TEST(HeapProfile, RetentionReportsDominators) {
-  // generationalChurn retains a list for the whole run; under the plain
-  // copying algorithm every collection is a full one, so the last
-  // snapshot's retention pass sees that list rooted in a frame slot.
-  auto R = runProfiled(wl::generationalChurn(100, 10, 30),
-                       GcStrategy::CompiledTagFree, GcAlgorithm::Copying,
-                       1 << 14, /*Verify=*/true, /*Retainers=*/5);
-  ASSERT_TRUE(R);
-  const HeapProfiler::Snapshot &Snap = R->Prof.snapshot();
-  ASSERT_TRUE(Snap.Valid);
-  ASSERT_TRUE(Snap.RetainersComputed);
-  ASSERT_FALSE(Snap.Retainers.empty());
-  EXPECT_LE(Snap.Retainers.size(), 5u);
-  uint64_t Prev = ~0ull;
-  for (const RetainerInfo &RI : Snap.Retainers) {
-    EXPECT_GE(RI.RetainedBytes, RI.SelfBytes);
-    EXPECT_LE(RI.RetainedBytes, Prev); // Ranked by retained size.
-    EXPECT_FALSE(RI.Path.empty());
-    Prev = RI.RetainedBytes;
+/// Checks the retainer rows of every collection's snapshot as the
+/// collection closes (the next collection overwrites the snapshot).
+struct RetainerChecker : GcEventSink {
+  const HeapProfiler *Prof = nullptr;
+  std::string Label;
+  uint64_t FullChecked = 0; ///< Full/major snapshots with retainer rows.
+  uint64_t MajorChecked = 0;
+
+  void onGcEvent(const GcEvent &E) override {
+    const HeapProfiler::Snapshot &Snap = Prof->snapshot();
+    ASSERT_TRUE(Snap.Valid) << Label;
+    ASSERT_EQ(Snap.Kind, E.Kind) << Label;
+    if (E.Kind == GcEventKind::Minor) {
+      EXPECT_FALSE(Snap.RetainersComputed) << Label;
+      return;
+    }
+    ASSERT_TRUE(Snap.RetainersComputed) << Label;
+    EXPECT_LE(Snap.Retainers.size(), 5u) << Label;
+    if (Snap.Retainers.empty())
+      return;
+    ++FullChecked;
+    MajorChecked += E.Kind == GcEventKind::Major;
+    uint64_t Prev = ~0ull;
+    for (const RetainerInfo &RI : Snap.Retainers) {
+      EXPECT_GT(RI.SelfBytes, 0u) << Label;
+      EXPECT_GE(RI.RetainedBytes, RI.SelfBytes) << Label;
+      EXPECT_LE(RI.RetainedBytes, Prev) << Label; // Ranked by size.
+      // No node retains more than the whole covered heap.
+      EXPECT_LE(RI.RetainedBytes, Snap.CoveredBytes) << Label;
+      EXPECT_FALSE(RI.Path.empty()) << Label;
+      EXPECT_NE(RI.Kind, CensusKind::NumKinds) << Label;
+      Prev = RI.RetainedBytes;
+    }
   }
-  // The top dominator retains at most the whole covered heap.
-  EXPECT_LE(Snap.Retainers.front().RetainedBytes, Snap.CoveredBytes);
+};
+
+TEST(HeapProfile, RetentionReportsDominators) {
+  // generationalChurn retains a list for the whole run. Every strategy
+  // under --verify (whose re-trace must not leak edges into the
+  // capture): under copying and mark-sweep every collection is a full
+  // one and reports retainers; under generational the majors do and the
+  // minors do not.
+  for (GcStrategy S : AllStrategies)
+    for (GcAlgorithm A : AllAlgorithms) {
+      std::string Label = std::string(gcStrategyName(S)) + "/" +
+                          gcAlgorithmName(A);
+      const bool Gen = A == GcAlgorithm::Generational;
+      RetainerChecker Check;
+      Check.Label = Label;
+      auto Run = runProfiled(
+          wl::generationalChurn(Gen ? 600 : 100, 10, 30), S, A, 1 << 14,
+          /*Verify=*/true, /*Retainers=*/5, Gen ? 1 << 12 : 0,
+          [&Check](ProfiledRun &PR) {
+            Check.Prof = &PR.Prof;
+            PR.Col->telemetry().setEventSink(&Check);
+          });
+      ASSERT_TRUE(Run) << Label;
+      EXPECT_EQ(Run->St.get(StatId::GcVerifyViolations), 0u) << Label;
+      EXPECT_GT(Check.FullChecked, 0u) << Label;
+      if (Gen) {
+        EXPECT_GT(Run->St.get(StatId::GcMajorCollections), 0u) << Label;
+        EXPECT_GT(Check.MajorChecked, 0u) << Label;
+      }
+    }
 }
 
 TEST(HeapProfile, MinorCollectionsSkipRetention) {
-  // A minor collection's object list covers the young generation only;
-  // dominator math over it would misattribute, so it is skipped.
+  // A minor collection's trace covers the young generation only;
+  // dominator math over it would misattribute, so the graph capture
+  // behind the retainers skips it.
   auto R = runProfiled(wl::generationalChurn(60, 10, 120),
                        GcStrategy::CompiledTagFree,
                        GcAlgorithm::Generational, 1 << 16,
@@ -195,6 +248,60 @@ TEST(HeapProfile, MinorCollectionsSkipRetention) {
     EXPECT_FALSE(Snap.RetainersComputed);
   else
     EXPECT_TRUE(Snap.RetainersComputed);
+}
+
+TEST(HeapProfile, RetainersFollowTypedEdgesNotPayloadWords) {
+  // Three objects in a test buffer, driven through the profiler hooks the
+  // way a non-moving trace drives them. A's traced field 0 holds C, C's
+  // traced field 0 holds B, and A's untraced int field 1 happens to equal
+  // B's address. Only traced references are edges: root -> A -> C -> B,
+  // so C dominates B and retains C + B. A payload-word scan would add an
+  // A -> B edge and credit B to A instead.
+  alignas(sizeof(Word)) Word Buf[5] = {};
+  const Word A = (Word)&Buf[0], C = (Word)&Buf[2], B = (Word)&Buf[3];
+  Buf[0] = C; // A.0: traced.
+  Buf[1] = B; // A.1: an int that equals B's address.
+  Buf[2] = B; // C.0: traced.
+  Buf[3] = 7; // B: two ints.
+  Buf[4] = 9;
+
+  Word Frame[4] = {};
+  Frame[3] = A; // main's slot 3 roots A.
+
+  HeapProfiler Prof;
+  HeapGraph Graph;
+  Prof.setEnabled(true);
+  Prof.setFunctionNames({"main"});
+  Prof.setHeapGraph(&Graph);
+  Prof.setRetainers(5);
+  Prof.beginCollection(GcEventKind::Full, nullptr);
+  ASSERT_EQ(Prof.capture(), &Graph);
+  Prof.recordVisit(A, A, CensusKind::Tuple, 2);
+  Prof.recordVisit(C, C, CensusKind::Ref, 1);
+  Prof.recordVisit(B, B, CensusKind::Tuple, 2);
+  Graph.recordEdge(A, 0, C);
+  Graph.recordEdge(C, 0, B);
+  Graph.recordRoot(&Frame[3], /*Func=*/0, /*Slot=*/3);
+  Prof.finishCollection(5 * sizeof(Word), nullptr);
+
+  const HeapProfiler::Snapshot &Snap = Prof.snapshot();
+  ASSERT_TRUE(Snap.RetainersComputed);
+  ASSERT_EQ(Snap.Retainers.size(), 3u);
+  auto Row = [&](Word Addr) -> const RetainerInfo & {
+    for (const RetainerInfo &RI : Snap.Retainers)
+      if (RI.Addr == Addr)
+        return RI;
+    ADD_FAILURE() << "no retainer row for " << Addr;
+    return Snap.Retainers.front();
+  };
+  EXPECT_EQ(Row(A).RetainedBytes, 5 * sizeof(Word));
+  EXPECT_EQ(Row(C).SelfBytes, 1 * sizeof(Word));
+  EXPECT_EQ(Row(C).RetainedBytes, 3 * sizeof(Word));
+  EXPECT_EQ(Row(B).RetainedBytes, 2 * sizeof(Word));
+  // Ranked A, C, B; C's sample path runs from the root slot through A.
+  EXPECT_EQ(Snap.Retainers[1].Addr, C);
+  EXPECT_EQ(Row(C).Path,
+            (std::vector<std::string>{"main:slot3", "tuple", "ref"}));
 }
 
 TEST(HeapProfile, SnapshotJsonContainsSchemaAndTallies) {

@@ -1,10 +1,10 @@
 //===- tests/telemetry_test.cpp - Telemetry layer tests ------------------===//
 ///
 /// Covers the GC telemetry layer: log-histogram bucket boundaries and
-/// percentile math, ring-buffer wraparound, the census-equals-counters
-/// invariant on a real workload under every strategy, phase-span
-/// partitioning of the pause, and the validity of the Chrome-trace and
-/// stats-JSON exports (parsed back with a tiny JSON parser below).
+/// percentile math, the census-equals-counters invariant on a real
+/// workload under every strategy, phase-span partitioning of the pause
+/// (per event, through an event sink), and the validity of the
+/// Chrome-trace and stats-JSON exports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,43 +101,11 @@ TEST(LogHistogram, PercentileMath) {
 }
 
 //===----------------------------------------------------------------------===//
-// Ring buffer
+// Phase switch-clock
 //===----------------------------------------------------------------------===//
 
-TEST(Telemetry, RingKeepsNewest) {
-  Telemetry T(4);
-  EXPECT_EQ(T.ringCapacity(), 4u);
-  for (uint64_t I = 0; I < 10; ++I) {
-    T.beginCollection();
-    EXPECT_TRUE(T.inCollection());
-    T.finishCollection(/*LiveWordsAfter=*/I, /*HeapCapacityBytesAfter=*/64);
-    EXPECT_FALSE(T.inCollection());
-  }
-  EXPECT_EQ(T.collections(), 10u);
-  EXPECT_EQ(T.ringSize(), 4u);
-  // Oldest-first: collections 6..9 survive.
-  for (size_t I = 0; I < 4; ++I) {
-    EXPECT_EQ(T.event(I).Seq, 6u + I);
-    EXPECT_EQ(T.event(I).LiveWordsAfter, 6u + I);
-  }
-  // Aggregates still cover all ten collections.
-  EXPECT_EQ(T.pauseHistogram().count(), 10u);
-}
-
-TEST(Telemetry, RingBeforeWraparound) {
-  Telemetry T(8);
-  for (uint64_t I = 0; I < 3; ++I) {
-    T.beginCollection();
-    T.finishCollection(0, 0);
-  }
-  EXPECT_EQ(T.collections(), 3u);
-  EXPECT_EQ(T.ringSize(), 3u);
-  for (size_t I = 0; I < 3; ++I)
-    EXPECT_EQ(T.event(I).Seq, I);
-}
-
 TEST(Telemetry, PhaseSwitchIgnoredOutsideCollectionAndWhilePaused) {
-  Telemetry T(4);
+  Telemetry T;
   // Outside a collection: no phase opens.
   T.switchPhase(GcPhase::CopySweep);
   EXPECT_EQ(T.currentPhase(), GcPhase::NumPhases);
@@ -172,7 +140,8 @@ struct TelemetryRun {
 
 TelemetryRun runWithTelemetry(const std::string &Source, GcStrategy S,
                               GcAlgorithm A = GcAlgorithm::Copying,
-                              size_t HeapBytes = 1 << 14) {
+                              size_t HeapBytes = 1 << 14,
+                              GcEventSink *Sink = nullptr) {
   TelemetryRun R;
   Compiled C = compile(Source);
   EXPECT_TRUE(C.P) << C.Error;
@@ -184,6 +153,7 @@ TelemetryRun runWithTelemetry(const std::string &Source, GcStrategy S,
   EXPECT_TRUE(R.Col) << Error;
   if (!R.Col)
     return R;
+  R.Col->telemetry().setEventSink(Sink);
   Vm M(R.P->Prog, R.P->Image, *R.P->Types, *R.Col,
        defaultVmOptions(S, /*GcStress=*/true));
   RunResult Run = M.run();
@@ -223,20 +193,26 @@ TEST(Telemetry, CensusMatchesVisitCountersMarkSweep) {
   EXPECT_EQ(T.censusObjectsTotal(CensusKind::TaggedScan), 0u);
 }
 
+/// Checks every closed event: the switch-clock reads nest strictly
+/// inside [beginCollection, finishCollection], so phase time never
+/// exceeds the pause.
+struct PhaseWithinPause : GcEventSink {
+  uint64_t Events = 0;
+  void onGcEvent(const GcEvent &E) override {
+    EXPECT_LE(E.phaseNsSum(), E.PauseNs) << "event " << E.Seq;
+    ++Events;
+  }
+};
+
 TEST(Telemetry, PhaseSpansPartitionThePause) {
-  TelemetryRun R =
-      runWithTelemetry(wl::listChurn(40, 20), GcStrategy::CompiledTagFree);
+  PhaseWithinPause Check;
+  TelemetryRun R = runWithTelemetry(wl::listChurn(40, 20),
+                                    GcStrategy::CompiledTagFree,
+                                    GcAlgorithm::Copying, 1 << 14, &Check);
   ASSERT_TRUE(R.Col);
   Telemetry &T = R.Col->telemetry();
   ASSERT_GT(T.collections(), 0u);
-
-  // Per event: the switch-clock reads nest strictly inside
-  // [beginCollection, finishCollection], so phase time never exceeds the
-  // pause.
-  for (size_t I = 0; I < T.ringSize(); ++I) {
-    const GcEvent &E = T.event(I);
-    EXPECT_LE(E.phaseNsSum(), E.PauseNs) << "event " << I;
-  }
+  EXPECT_EQ(Check.Events, T.collections());
 
   // In aggregate the spans cover the pause up to a few instructions of
   // slack per collection (the acceptance bound for the CLI trace is 5%;
@@ -333,7 +309,7 @@ TEST(Telemetry, ChromeTraceIsValidJson) {
   EXPECT_NE(J.find("\"gc.collection\""), std::string::npos);
   EXPECT_NE(J.find("\"frame_dispatch\""), std::string::npos);
   EXPECT_NE(J.find("compiled-tagfree"), std::string::npos);
-  // The trace streams: it covers every collection, not just the ring.
+  // The trace streams: it covers every collection.
   size_t Events = 0, At = 0;
   while ((At = J.find("\"gc.collection\"", At)) != std::string::npos) {
     ++Events;
@@ -352,7 +328,6 @@ TEST(Telemetry, StatsJsonIsValidAndComplete) {
   EXPECT_TRUE(validJson(J)) << J.substr(0, 400);
   EXPECT_NE(J.find("\"pause_histogram\""), std::string::npos);
   EXPECT_NE(J.find("\"census_totals\""), std::string::npos);
-  EXPECT_NE(J.find("\"recent_collections\""), std::string::npos);
   EXPECT_NE(J.find("\"gc.collections\""), std::string::npos);
   EXPECT_NE(J.find("\"p99\""), std::string::npos);
 }
@@ -362,7 +337,7 @@ TEST(Telemetry, LogLineFormat) {
   // the line shape.
   std::FILE *F = std::tmpfile();
   ASSERT_NE(F, nullptr);
-  Telemetry T(4);
+  Telemetry T;
   T.setLabel("unit");
   T.setLogStream(F);
   T.beginCollection();

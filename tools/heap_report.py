@@ -19,6 +19,9 @@ doubles as an integration test in CI:
   * the snapshot is valid (at least one collection ran)
   * per-kind live bytes sum to the bytes the collection covered
   * with site tracking, per-site objects/bytes sum to the totals
+  * retainer rows (with --retainers) are ranked by retained bytes,
+    descending; each has self <= retained <= the snapshot's live bytes
+    and a non-empty sample root path
 """
 
 import argparse
@@ -146,6 +149,19 @@ def check(snap, path):
             if gen_bytes != snap["bytes"]:
                 errors.append(f"gen-split bytes {gen_bytes} != total "
                               f"{snap['bytes']}")
+        prev = None
+        for i, r in enumerate(snap.get("retainers", [])):
+            where = f"retainer #{i + 1}"
+            if prev is not None and r["retained_bytes"] > prev:
+                errors.append(f"{where}: retained {r['retained_bytes']} "
+                              f"exceeds the row above ({prev})")
+            prev = r["retained_bytes"]
+            if not r["self_bytes"] <= r["retained_bytes"] <= snap["bytes"]:
+                errors.append(f"{where}: need self {r['self_bytes']} <= "
+                              f"retained {r['retained_bytes']} <= live "
+                              f"{snap['bytes']}")
+            if not r.get("path"):
+                errors.append(f"{where}: empty root path")
     for e in errors:
         print(f"{path}: CHECK FAILED: {e}", file=sys.stderr)
     if not errors:

@@ -20,8 +20,12 @@
 ///                      attribution without per-object headers)
 ///   --heap-snapshot=F  write the last collection's typed snapshot as
 ///                      JSON (render with tools/heap_report.py)
-///   --retainers=N      retained-size diagnostics: top-N dominators with
-///                      a sample root path
+///   --retainers=N      retained-size diagnostics: top-N dominators of
+///                      the typed heap graph, each with a sample root
+///                      path
+///   --heap-dump=F      stream that graph (nodes, typed edges, roots,
+///                      lifetimes) at full/major collections (decode
+///                      with tools/heap_graph_report.py)
 ///
 /// Exit codes: 0 success, 1 compile/runtime error, 2 usage or I/O error,
 /// 3 verify violations. Diagnostic files are flushed even on abnormal
