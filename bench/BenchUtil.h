@@ -1,9 +1,11 @@
 //===- bench/BenchUtil.h - Shared bench harness helpers ---------*- C++ -*-===//
 ///
 /// \file
-/// Helpers shared by the experiment binaries (E1..E9). Each binary prints
+/// Helpers shared by the experiment binaries (E1..E17). Each binary prints
 /// a paper-style table derived from deterministic runs, then (where the
-/// experiment is about wall time) runs google-benchmark timings.
+/// experiment is about wall time) runs google-benchmark timings. Runs that
+/// price an attachment or a runtime are assembled by driver/Session, the
+/// same code tfgc runs, so they measure what the CLI does.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,11 +13,16 @@
 #define TFGC_BENCH_BENCHUTIL_H
 
 #include "driver/Compiler.h"
+#include "driver/Session.h"
 #include "workloads/Programs.h"
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -138,6 +145,15 @@ inline void jsonWorkload(const std::string &W) {
     S->setWorkload(W);
 }
 
+/// Captures a finished session's counters as one table row labelled
+/// \p Label (no-op when no sink is active).
+inline void jsonRecord(const std::string &Label, Session &S) {
+  const CliOptions &O = S.options();
+  if (JsonSink *Sink = JsonSink::active())
+    Sink->record(Label.c_str(), O.Algo, O.HeapBytes, S.stats(),
+                 O.NurseryBytes, O.Threads);
+}
+
 /// Runs a program once and returns its stats (aborts on failure — benches
 /// must not silently measure broken runs). Counter results feed the
 /// active JsonSink, if any.
@@ -172,6 +188,93 @@ compileOrDie(const std::string &Source, CompileOptions Options = {}) {
   return P;
 }
 
+/// A workload of the attachment-cost benches (E11-E17), run under the
+/// compiled tag-free strategy: a program, compiled on first use, and the
+/// heap it runs on.
+struct CostWorkload {
+  const char *Name;
+  std::string Src;
+  GcAlgorithm Algo = GcAlgorithm::Copying;
+  size_t Heap = 1 << 16;
+  size_t Nursery = 0;
+  std::unique_ptr<CompiledProgram> P = nullptr;
+
+  CompiledProgram &program() {
+    if (!P)
+      P = compileOrDie(Src);
+    return *P;
+  }
+  /// Options of a bare run; a bench adds the attachment it prices.
+  CliOptions options() const {
+    CliOptions O;
+    O.Algo = Algo;
+    O.HeapBytes = Heap;
+    O.NurseryBytes = Nursery;
+    return O;
+  }
+};
+
+/// The minor-dominated heap of the cost benches: 1 MiB, 8 KiB nursery.
+inline CostWorkload genWorkload(const char *Name, std::string Src) {
+  return {Name, std::move(Src), GcAlgorithm::Generational, 1 << 20, 1 << 13};
+}
+
+/// Opens a Session for \p O over \p P (compiled with
+/// sessionCompileOptions(O)), aborting when it cannot.
+inline std::unique_ptr<Session> openSession(CompiledProgram &P,
+                                            const CliOptions &O) {
+  auto S = std::make_unique<Session>(P, O);
+  if (S->open() != 0) {
+    std::fprintf(stderr, "bench session failed to open\n");
+    std::abort();
+  }
+  return S;
+}
+
+/// One run assembled exactly as tfgc assembles it for \p O: opens the
+/// session, lets \p BeforeRun add sinks, runs main, writes the artifacts,
+/// and aborts on any failure. \p WallNs receives the wall time of the run
+/// alone (setup and artifact writing excluded).
+inline std::unique_ptr<Session>
+sessionRun(CompiledProgram &P, const CliOptions &O, uint64_t *WallNs = nullptr,
+           const std::function<void(Session &)> &BeforeRun = nullptr) {
+  auto S = openSession(P, O);
+  if (BeforeRun)
+    BeforeRun(*S);
+  auto T0 = std::chrono::steady_clock::now();
+  RunResult R = S->run();
+  auto T1 = std::chrono::steady_clock::now();
+  if (!R.Ok || !S->finish()) {
+    std::fprintf(stderr, "bench run failed: %s\n", R.Error.c_str());
+    std::abort();
+  }
+  if (WallNs)
+    *WallNs = (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  T1 - T0)
+                  .count();
+  return S;
+}
+
+/// Median wall time of each of \p N modes over \p Reps rounds that run
+/// every mode in turn, after one untimed warmup of mode 0: page cache, CPU
+/// frequency and machine-load drift then hit every mode equally instead
+/// of penalizing whichever ran first. \p Run(M) runs mode M once and
+/// returns its wall time in ns.
+template <size_t N, typename RunFn>
+std::array<uint64_t, N> medianWallNs(int Reps, RunFn Run) {
+  Run(0);
+  std::array<std::vector<uint64_t>, N> Ns;
+  for (int I = 0; I < Reps; ++I)
+    for (size_t M = 0; M < N; ++M)
+      Ns[M].push_back(Run(M));
+  std::array<uint64_t, N> Med;
+  for (size_t M = 0; M < N; ++M) {
+    std::sort(Ns[M].begin(), Ns[M].end());
+    Med[M] = Ns[M][Ns[M].size() / 2];
+  }
+  return Med;
+}
+
 /// One timed end-to-end run on a precompiled program. The trailing
 /// mutator fast-path knobs (dispatch loop / superinstruction fusion /
 /// float self-tagging) default to the production configuration; E13
@@ -192,7 +295,7 @@ inline void timedRun(benchmark::State &State, CompiledProgram &P,
       return;
     }
     VmOptions VO = defaultVmOptions(S, Stress);
-    VO.ZeroFrames = VO.ZeroFrames || ZeroFramesOverride;
+    VO.ZeroFrames = ZeroFramesOverride;
     VO.Dispatch = Dispatch;
     VO.FuseSuperinstructions = Fuse;
     VO.FloatSelfTag = FloatSelfTag;

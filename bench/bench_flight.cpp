@@ -9,9 +9,9 @@
 /// on the mutator's clock between collections.
 ///
 ///   off   no recorder attached: the permanent baseline.
-///   on    --flight-out semantics in-process: a FlightRecorder with the
-///         default 64 KiB rings, the VM's ring wired, the collector's
-///         GC/worker rings wired, drains to a real file.
+///   on    a --flight-out run as the Session assembles it: the default
+///         64 KiB rings, the VM's ring wired, the collector's GC/worker
+///         rings wired, drains to a real file.
 ///
 /// In the sequential VM the fuel-poll site never arms (no coordinator),
 /// so 'on' pays only the GC mirrors + TLAB-free alloc path: the ratio
@@ -24,12 +24,6 @@
 
 #include "BenchUtil.h"
 
-#include "core/Collector.h"
-#include "support/FlightRecorder.h"
-
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <cstdio>
 
 using namespace tfgc;
@@ -38,11 +32,11 @@ namespace wl = tfgc::workloads;
 
 namespace {
 
-constexpr size_t HeapBytes = 1 << 16;
-constexpr size_t GenHeapBytes = 1 << 20;
-constexpr size_t GenNurseryBytes = 1 << 13;
-
 const char *FlightTmp = "/tmp/tfgc_bench_flight.bin";
+
+CostWorkload Arith{"arith", wl::arithKernel(200000)};
+CostWorkload GenChurn =
+    genWorkload("generationalChurn", wl::generationalChurn(200, 20, 400));
 
 enum FlightMode { Off = 0, On = 1 };
 
@@ -53,111 +47,43 @@ struct RunOut {
   uint64_t Records = 0;
 };
 
-/// One compile-free run, recorder attached exactly as runTfgc attaches it
-/// for a sequential --flight-out run.
-Stats flightRun(CompiledProgram &P, GcAlgorithm A, size_t Heap,
-                size_t Nursery, FlightMode Mode, RunOut *Out = nullptr,
-                bool RecordJson = false) {
-  Stats St;
-  std::string Err;
-  auto Col = P.makeCollector(GcStrategy::CompiledTagFree, A, Heap, St, &Err,
-                             Nursery);
-  if (!Col) {
-    std::fprintf(stderr, "makeCollector failed: %s\n", Err.c_str());
-    std::abort();
-  }
-  std::unique_ptr<FlightRecorder> F;
-  if (Mode == On) {
-    F = std::make_unique<FlightRecorder>(/*NumTasks=*/1, /*NumWorkers=*/1,
-                                         /*BufferKb=*/64);
-    if (!F->openFile(FlightTmp, Err)) {
-      std::fprintf(stderr, "flight open failed: %s\n", Err.c_str());
-      std::abort();
-    }
-    Col->setFlightRecorder(F.get());
-  }
-  VmOptions VO = defaultVmOptions(GcStrategy::CompiledTagFree);
-  if (Mode == On) {
-    VO.Flight = &F->taskRing(0);
-    VO.Flight->record(FlightEventType::ThreadStart);
-  }
-  Vm M(P.Prog, P.Image, *P.Types, *Col, VO);
-  auto T0 = std::chrono::steady_clock::now();
-  RunResult R = M.run();
-  auto T1 = std::chrono::steady_clock::now();
-  if (!R.Ok) {
-    std::fprintf(stderr, "bench run failed: %s\n", R.Error.c_str());
-    std::abort();
-  }
-  M.flushCounters();
-  if (Mode == On) {
-    VO.Flight->record(FlightEventType::ThreadExit);
-    F->finish();
-  }
+/// One compile-free run of \p W under \p Mode, assembled as tfgc
+/// assembles a sequential --flight-out run.
+std::unique_ptr<Session> flightRun(CostWorkload &W, FlightMode Mode,
+                                   RunOut *Out = nullptr,
+                                   bool RecordJson = false) {
+  CliOptions O = W.options();
+  if (Mode == On)
+    O.FlightOutPath = FlightTmp;
+  uint64_t WallNs = 0;
+  auto S = sessionRun(W.program(), O, &WallNs);
   if (Out) {
-    Out->WallNs =
-        (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(T1 -
-                                                                       T0)
-            .count();
-    Out->Records = F ? F->recordsFiled() : 0;
+    Out->WallNs = WallNs;
+    Out->Records = S->flight() ? S->flight()->recordsFiled() : 0;
   }
   if (RecordJson)
-    if (JsonSink *Sink = JsonSink::active())
-      Sink->record((std::string("compiled-tagfree+flight_") +
-                    modeName(Mode))
-                       .c_str(),
-                   A, Heap, St, Nursery);
-  return St;
-}
-
-/// Samples both modes round-robin (after one untimed warmup) so drift
-/// hits each mode equally.
-std::array<uint64_t, 2> medianWallNs(CompiledProgram &P, GcAlgorithm A,
-                                     size_t Heap, size_t Nursery,
-                                     int Reps = 11) {
-  flightRun(P, A, Heap, Nursery, Off);
-  std::array<std::vector<uint64_t>, 2> Ns;
-  for (int I = 0; I < Reps; ++I)
-    for (FlightMode Mode : {Off, On}) {
-      RunOut Out;
-      flightRun(P, A, Heap, Nursery, Mode, &Out);
-      Ns[Mode].push_back(Out.WallNs);
-    }
-  std::array<uint64_t, 2> Med;
-  for (int M = 0; M < 2; ++M) {
-    std::sort(Ns[M].begin(), Ns[M].end());
-    Med[M] = Ns[M][Ns[M].size() / 2];
-  }
-  return Med;
+    jsonRecord(std::string("compiled-tagfree+flight_") + modeName(Mode), *S);
+  return S;
 }
 
 void reportCost() {
-  struct Workload {
-    const char *Name;
-    std::string Src;
-    GcAlgorithm Algo;
-    size_t Heap, Nursery;
-  } Workloads[] = {
-      {"arith", wl::arithKernel(200000), GcAlgorithm::Copying, HeapBytes, 0},
-      {"generationalChurn", wl::generationalChurn(200, 20, 400),
-       GcAlgorithm::Generational, GenHeapBytes, GenNurseryBytes},
-  };
-
   tableHeader("E16: flight recorder cost (compiled tag-free, sequential)",
               "wall-clock medians over 11 interleaved runs; 'ratio' is "
               "on/off; 'records' is what the on-run filed to disk",
               {"workload", "mode", "median ms", "ratio", "records"});
   bool Pass = true;
-  for (Workload &W : Workloads) {
-    jsonWorkload(W.Name);
-    auto P = compileOrDie(W.Src);
-    std::array<uint64_t, 2> Med = medianWallNs(*P, W.Algo, W.Heap, W.Nursery);
+  for (CostWorkload *W : {&Arith, &GenChurn}) {
+    jsonWorkload(W->Name);
+    std::array<uint64_t, 2> Med = medianWallNs<2>(11, [&](size_t M) {
+      RunOut Out;
+      flightRun(*W, (FlightMode)M, &Out);
+      return Out.WallNs;
+    });
     for (FlightMode Mode : {Off, On}) {
       double Ratio = Med[Off] ? (double)Med[Mode] / (double)Med[Off] : 0.0;
       RunOut Out;
-      flightRun(*P, W.Algo, W.Heap, W.Nursery, Mode, &Out,
-                /*RecordJson=*/true);
-      tableCell(W.Name);
+      flightRun(*W, Mode, &Out, /*RecordJson=*/true);
+      tableCell(W->Name);
       tableCell(modeName(Mode));
       tableCell((double)Med[Mode] / 1e6);
       tableCell(Ratio);
@@ -177,21 +103,11 @@ void reportCost() {
   std::remove(FlightTmp);
 }
 
-std::unique_ptr<CompiledProgram> &arithProg() {
-  static auto P = compileOrDie(wl::arithKernel(200000));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &churnProg() {
-  static auto P = compileOrDie(wl::generationalChurn(200, 20, 400));
-  return P;
-}
-
 void BM_Arith(benchmark::State &State, FlightMode Mode) {
   for (auto _ : State) {
     RunOut Out;
-    Stats St = flightRun(*arithProg(), GcAlgorithm::Copying, HeapBytes, 0,
-                         Mode, &Out);
-    State.counters["steps"] = (double)St.get(StatId::VmSteps);
+    auto S = flightRun(Arith, Mode, &Out);
+    State.counters["steps"] = (double)S->stats().get(StatId::VmSteps);
     benchmark::DoNotOptimize(Out.WallNs);
   }
 }
@@ -199,9 +115,9 @@ void BM_Arith(benchmark::State &State, FlightMode Mode) {
 void BM_GenChurn(benchmark::State &State, FlightMode Mode) {
   for (auto _ : State) {
     RunOut Out;
-    Stats St = flightRun(*churnProg(), GcAlgorithm::Generational,
-                         GenHeapBytes, GenNurseryBytes, Mode, &Out);
-    State.counters["collections"] = (double)St.get(StatId::GcCollections);
+    auto S = flightRun(GenChurn, Mode, &Out);
+    State.counters["collections"] =
+        (double)S->stats().get(StatId::GcCollections);
     State.counters["records"] = (double)Out.Records;
     benchmark::DoNotOptimize(Out.WallNs);
   }

@@ -28,7 +28,7 @@ void report(const char *Config, const std::string &Src, GcStrategy S,
   if (!Col)
     std::abort();
   VmOptions VO = defaultVmOptions(S);
-  VO.ZeroFrames = VO.ZeroFrames || ForceZero;
+  VO.ZeroFrames = ForceZero; // Tagged and Appel zero regardless.
   Vm M(P->Prog, P->Image, *P->Types, *Col, VO);
   RunResult R = M.run();
   if (!R.Ok)

@@ -134,23 +134,15 @@ void verifyCensus() {
   const std::string Sources[] = {churnSource(), wl::refCells(2000)};
   for (const std::string &Src : Sources) {
     for (GcStrategy S : Strategies) {
+      CliOptions O;
+      O.Strategy = S;
+      O.Algo = GcAlgorithm::Generational;
+      O.HeapBytes = HeapBytes;
+      O.NurseryBytes = NurseryBytes;
+      O.Verify = true;
       auto P = compileOrDie(Src);
-      Stats St;
-      std::string Err;
-      auto Col = P->makeCollector(S, GcAlgorithm::Generational, HeapBytes,
-                                  St, &Err, NurseryBytes);
-      if (!Col) {
-        std::fprintf(stderr, "makeCollector failed: %s\n", Err.c_str());
-        std::abort();
-      }
-      Col->setVerifyAfterGc(true);
-      Vm M(P->Prog, P->Image, *P->Types, *Col, defaultVmOptions(S));
-      RunResult R = M.run();
-      if (!R.Ok) {
-        std::fprintf(stderr, "run failed under %s: %s\n", gcStrategyName(S),
-                     R.Error.c_str());
-        std::abort();
-      }
+      auto Run = sessionRun(*P, O);
+      const Stats &St = Run->stats();
       uint64_t Allocated = St.get(StatId::HeapObjectsAllocated);
       uint64_t Promoted = St.get("gc.promoted_objects");
       uint64_t Dead = St.get("gc.young_dead_objects");

@@ -8,8 +8,8 @@
 ///   off      neither profiler nor graph attached: the seed-equivalent
 ///            path. `--heap-dump` absent leaves the mutator and the
 ///            tracers bit-identical to a build without HeapGraph.
-///   profile  profiler attached, no graph: the E11 baseline this bench
-///            layers on.
+///   profile  profiler attached, its graph without a destination so no
+///            capture fires: the E11 baseline this bench layers on.
 ///   armed    profiler + graph attached with a huge --heap-dump-every,
 ///            so the every-N gate rejects every capture: zero chunks,
 ///            and the per-visit cost is a single predicted-false
@@ -34,21 +34,15 @@
 
 #include "BenchUtil.h"
 
-#include "support/HeapGraph.h"
-
-#include <algorithm>
-#include <array>
-#include <chrono>
-
 using namespace tfgc;
 using namespace tfgc::bench;
 namespace wl = tfgc::workloads;
 
 namespace {
 
-constexpr size_t HeapBytes = 1 << 16;
-constexpr size_t GenHeapBytes = 1 << 20;
-constexpr size_t GenNurseryBytes = 1 << 13;
+CostWorkload ListChurn{"listChurn", wl::listChurn(1000, 64)};
+CostWorkload GenChurn =
+    genWorkload("generationalChurn", wl::generationalChurn(20000, 30, 4000));
 
 enum GraphMode { Off = 0, Profile = 1, Armed = 2, Dump = 3 };
 constexpr int NumModes = 4;
@@ -66,87 +60,32 @@ const char *modeName(GraphMode M) {
   }
 }
 
-/// One full compile-free run under \p Mode; returns stats, optionally
-/// wall time, chunk count, and dumped bytes.
-Stats graphedRun(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
-                 size_t Heap, size_t Nursery, GraphMode Mode,
-                 uint64_t *WallNs = nullptr, uint64_t *Chunks = nullptr,
-                 uint64_t *Bytes = nullptr) {
-  Stats St;
-  std::string Err;
-  auto Col = P.makeCollector(S, A, Heap, St, &Err, Nursery);
-  if (!Col) {
-    std::fprintf(stderr, "makeCollector failed: %s\n", Err.c_str());
-    std::abort();
-  }
-  HeapProfiler Prof;
-  HeapGraph Graph;
+/// One compile-free run of \p W under \p Mode, assembled as tfgc
+/// assembles --heap-profile with a sink-only heap graph (no fs jitter)
+/// gated by --heap-dump-every; optionally the run's wall time, chunk
+/// count and dumped bytes.
+std::unique_ptr<Session> graphedRun(CostWorkload &W, GraphMode Mode,
+                                    uint64_t *WallNs = nullptr,
+                                    uint64_t *Chunks = nullptr,
+                                    uint64_t *Bytes = nullptr) {
+  CliOptions O = W.options();
+  O.HeapProfile = Mode != Off;
+  O.HeapDumpEvery = Mode == Armed ? 1u << 30 : 1;
   uint64_t Dumped = 0;
-  if (Mode != Off) {
-    attachHeapProfiler(P, S, *Col, Prof);
-    if (Mode != Profile) {
-      // Sink-only destination: prices the pipeline without fs jitter.
-      Graph.setChunkSink(
+  auto S = sessionRun(W.program(), O, WallNs, [&](Session &Sn) {
+    if (Mode == Armed || Mode == Dump)
+      Sn.graph().setChunkSink(
           [&Dumped](const std::string &Chunk) { Dumped += Chunk.size(); });
-      Graph.setEvery(Mode == Armed ? 1u << 30 : 1);
-      Prof.setHeapGraph(&Graph);
-    }
-  }
-  Vm M(P.Prog, P.Image, *P.Types, *Col, defaultVmOptions(S));
-  auto T0 = std::chrono::steady_clock::now();
-  RunResult R = M.run();
-  auto T1 = std::chrono::steady_clock::now();
-  if (!R.Ok) {
-    std::fprintf(stderr, "bench run failed: %s\n", R.Error.c_str());
-    std::abort();
-  }
-  if (WallNs)
-    *WallNs =
-        (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(T1 -
-                                                                       T0)
-            .count();
+  });
+  S->graph().setChunkSink(nullptr); // Dumped dies with this frame.
   if (Chunks)
-    *Chunks = Graph.chunksWritten();
+    *Chunks = S->graph().chunksWritten();
   if (Bytes)
     *Bytes = Dumped;
-  return St;
-}
-
-/// Samples all modes round-robin (after one untimed warmup) so drift
-/// hits every mode equally instead of penalizing whichever ran first.
-std::array<uint64_t, NumModes> medianWallNs(CompiledProgram &P,
-                                            GcStrategy S, GcAlgorithm A,
-                                            size_t Heap, size_t Nursery,
-                                            int Reps = 9) {
-  graphedRun(P, S, A, Heap, Nursery, Off);
-  std::array<std::vector<uint64_t>, NumModes> Ns;
-  for (int I = 0; I < Reps; ++I)
-    for (GraphMode Mode : {Off, Profile, Armed, Dump}) {
-      uint64_t W = 0;
-      graphedRun(P, S, A, Heap, Nursery, Mode, &W);
-      Ns[Mode].push_back(W);
-    }
-  std::array<uint64_t, NumModes> Med;
-  for (int M = 0; M < NumModes; ++M) {
-    std::sort(Ns[M].begin(), Ns[M].end());
-    Med[M] = Ns[M][Ns[M].size() / 2];
-  }
-  return Med;
+  return S;
 }
 
 void reportCost() {
-  struct Workload {
-    const char *Name;
-    std::string Src;
-    GcAlgorithm Algo;
-    size_t Heap, Nursery;
-  } Workloads[] = {
-      {"listChurn", wl::listChurn(1000, 64), GcAlgorithm::Copying, HeapBytes,
-       0},
-      {"generationalChurn", wl::generationalChurn(20000, 30, 4000),
-       GcAlgorithm::Generational, GenHeapBytes, GenNurseryBytes},
-  };
-
   tableHeader("E17: heap-graph capture cost (compiled tag-free)",
               "wall-clock medians over 9 interleaved runs; 'ratio' is vs "
               "'profile' (the E11 baseline); 'armed' gates captures off "
@@ -154,31 +93,31 @@ void reportCost() {
               {"workload", "mode", "median ms", "ratio", "collections",
                "chunks", "dump KiB"});
   bool Pass = true;
-  for (Workload &W : Workloads) {
-    jsonWorkload(W.Name);
-    auto P = compileOrDie(W.Src);
-    std::array<uint64_t, NumModes> Med = medianWallNs(
-        *P, GcStrategy::CompiledTagFree, W.Algo, W.Heap, W.Nursery);
+  for (CostWorkload *W : {&ListChurn, &GenChurn}) {
+    jsonWorkload(W->Name);
+    std::array<uint64_t, NumModes> Med =
+        medianWallNs<NumModes>(9, [&](size_t M) {
+          uint64_t Ns = 0;
+          graphedRun(*W, (GraphMode)M, &Ns);
+          return Ns;
+        });
     for (GraphMode Mode : {Off, Profile, Armed, Dump}) {
       double Ratio =
           Med[Profile] ? (double)Med[Mode] / (double)Med[Profile] : 0.0;
       uint64_t Chunks = 0, Bytes = 0;
-      Stats St = graphedRun(*P, GcStrategy::CompiledTagFree, W.Algo, W.Heap,
-                            W.Nursery, Mode, nullptr, &Chunks, &Bytes);
-      if (JsonSink *Sink = JsonSink::active())
-        Sink->record((std::string(gcStrategyName(GcStrategy::CompiledTagFree)) +
-                      "+" + modeName(Mode))
-                         .c_str(),
-                     W.Algo, W.Heap, St, W.Nursery);
-      tableCell(W.Name);
+      auto S = graphedRun(*W, Mode, nullptr, &Chunks, &Bytes);
+      jsonRecord(std::string(gcStrategyName(GcStrategy::CompiledTagFree)) +
+                     "+" + modeName(Mode),
+                 *S);
+      tableCell(W->Name);
       tableCell(modeName(Mode));
       tableCell((double)Med[Mode] / 1e6);
       tableCell(Ratio);
-      tableCell(St.get(StatId::GcCollections));
+      tableCell(S->stats().get(StatId::GcCollections));
       tableCell(Chunks);
       tableCell((double)Bytes / 1024.0);
       tableEnd();
-      if (std::string(W.Name) == "listChurn" && Mode == Armed &&
+      if (W == &ListChurn && Mode == Armed &&
           Ratio > 1.01)
         Pass = false;
     }
@@ -192,22 +131,12 @@ void reportCost() {
              "quiet machine before reading\nanything into a miss");
 }
 
-std::unique_ptr<CompiledProgram> &churnList() {
-  static auto P = compileOrDie(wl::listChurn(1000, 64));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &churnGen() {
-  static auto P = compileOrDie(wl::generationalChurn(20000, 30, 4000));
-  return P;
-}
-
 void BM_ListChurn(benchmark::State &State, GraphMode Mode) {
   for (auto _ : State) {
     uint64_t W = 0, Chunks = 0;
-    Stats St = graphedRun(*churnList(), GcStrategy::CompiledTagFree,
-                          GcAlgorithm::Copying, HeapBytes, 0, Mode, &W,
-                          &Chunks);
-    State.counters["collections"] = (double)St.get(StatId::GcCollections);
+    auto S = graphedRun(ListChurn, Mode, &W, &Chunks);
+    State.counters["collections"] =
+        (double)S->stats().get(StatId::GcCollections);
     State.counters["chunks"] = (double)Chunks;
     benchmark::DoNotOptimize(W);
   }
@@ -216,10 +145,9 @@ void BM_ListChurn(benchmark::State &State, GraphMode Mode) {
 void BM_GenChurn(benchmark::State &State, GraphMode Mode) {
   for (auto _ : State) {
     uint64_t W = 0, Chunks = 0;
-    Stats St = graphedRun(*churnGen(), GcStrategy::CompiledTagFree,
-                          GcAlgorithm::Generational, GenHeapBytes,
-                          GenNurseryBytes, Mode, &W, &Chunks);
-    State.counters["collections"] = (double)St.get(StatId::GcCollections);
+    auto S = graphedRun(GenChurn, Mode, &W, &Chunks);
+    State.counters["collections"] =
+        (double)S->stats().get(StatId::GcCollections);
     State.counters["chunks"] = (double)Chunks;
     benchmark::DoNotOptimize(W);
   }

@@ -27,9 +27,6 @@
 
 #include "BenchUtil.h"
 
-#include <algorithm>
-#include <array>
-#include <chrono>
 #include <sstream>
 
 using namespace tfgc;
@@ -38,9 +35,8 @@ namespace wl = tfgc::workloads;
 
 namespace {
 
-constexpr size_t HeapBytes = 1 << 16;
-constexpr size_t GenHeapBytes = 1 << 20;
-constexpr size_t GenNurseryBytes = 1 << 13;
+CostWorkload Arith{"arith", wl::arithKernel(200000)};
+CostWorkload ListChurn{"listChurn", wl::listChurn(200, 64)};
 
 enum MonitorMode { Off = 0, Sample = 1, Stream = 2 };
 
@@ -48,92 +44,30 @@ const char *modeName(MonitorMode M) {
   return M == Off ? "off" : M == Sample ? "sample" : "stream";
 }
 
-Monitor::Options monOpts(MonitorMode M) {
-  Monitor::Options O; // default 512-step sample period
-  if (M == Stream)
-    O.HeartbeatPeriodMs = 10;
-  return O;
-}
-
-/// One compile-free run under \p Mode; returns stats, optionally the wall
-/// time and the monitor state (for the MMU table).
-Stats monitoredRun(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
-                   size_t Heap, size_t Nursery, MonitorMode Mode,
-                   uint64_t *WallNs = nullptr, Monitor *MonOut = nullptr) {
-  Stats St;
-  std::string Err;
-  auto Col = P.makeCollector(S, A, Heap, St, &Err, Nursery);
-  if (!Col) {
-    std::fprintf(stderr, "makeCollector failed: %s\n", Err.c_str());
-    std::abort();
-  }
-  Monitor Local(monOpts(Mode));
-  Monitor &Mon = MonOut ? *MonOut : Local;
+/// One compile-free run of \p W under \p Mode, assembled as tfgc
+/// assembles --monitor (sample) or --monitor-out with
+/// --monitor-period-ms=10 (stream, into a null sink instead of a file).
+/// Counter runs (\p Record) feed the JSON trajectory.
+std::unique_ptr<Session> monitoredRun(CostWorkload &W, MonitorMode Mode,
+                                      uint64_t *WallNs = nullptr,
+                                      bool Record = false) {
+  CliOptions O = W.options();
+  O.Monitor = Mode != Off;
+  O.MonitorPeriodMs = Mode == Stream ? 10 : 0;
   std::ostringstream Sink;
-  if (Mode != Off) {
-    Mon.setStats(&St);
-    attachMonitor(P, *Col, Mon);
+  auto S = sessionRun(W.program(), O, WallNs, [&](Session &Sn) {
     if (Mode == Stream)
-      Mon.setStream(&Sink);
-  }
-  Vm M(P.Prog, P.Image, *P.Types, *Col, defaultVmOptions(S));
-  auto T0 = std::chrono::steady_clock::now();
-  RunResult R = M.run();
-  auto T1 = std::chrono::steady_clock::now();
-  if (!R.Ok) {
-    std::fprintf(stderr, "bench run failed: %s\n", R.Error.c_str());
-    std::abort();
-  }
-  if (Mode == Stream)
-    Mon.finish();
-  if (WallNs)
-    *WallNs =
-        (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(T1 -
-                                                                       T0)
-            .count();
-  // Counter runs (the ones whose monitor outlives the run) feed the JSON
-  // trajectory; timing reps stay out of table_runs.
-  if (MonOut)
-    if (JsonSink *Sink = JsonSink::active())
-      Sink->record(
-          (std::string(gcStrategyName(S)) + "+" + modeName(Mode)).c_str(),
-          A, Heap, St, Nursery);
-  return St;
-}
-
-/// Samples all three modes round-robin (after one untimed warmup) so
-/// frequency and load drift hit every mode equally.
-std::array<uint64_t, 3> medianWallNs(CompiledProgram &P, GcStrategy S,
-                                     GcAlgorithm A, size_t Heap,
-                                     size_t Nursery, int Reps = 9) {
-  monitoredRun(P, S, A, Heap, Nursery, Off);
-  std::array<std::vector<uint64_t>, 3> Ns;
-  for (int I = 0; I < Reps; ++I)
-    for (MonitorMode Mode : {Off, Sample, Stream}) {
-      uint64_t W = 0;
-      monitoredRun(P, S, A, Heap, Nursery, Mode, &W);
-      Ns[Mode].push_back(W);
-    }
-  std::array<uint64_t, 3> Med;
-  for (int M = 0; M < 3; ++M) {
-    std::sort(Ns[M].begin(), Ns[M].end());
-    Med[M] = Ns[M][Ns[M].size() / 2];
-  }
-  return Med;
+      Sn.monitor().setStream(&Sink);
+  });
+  S->monitor().setStream(nullptr); // Sink dies with this frame.
+  if (Record)
+    jsonRecord(std::string(gcStrategyName(GcStrategy::CompiledTagFree)) +
+                   "+" + modeName(Mode),
+               *S);
+  return S;
 }
 
 void reportCost() {
-  struct Workload {
-    const char *Name;
-    std::string Src;
-    GcAlgorithm Algo;
-    size_t Heap, Nursery;
-  } Workloads[] = {
-      {"arith", wl::arithKernel(200000), GcAlgorithm::Copying, HeapBytes, 0},
-      {"listChurn", wl::listChurn(200, 64), GcAlgorithm::Copying, HeapBytes,
-       0},
-  };
-
   tableHeader("E12: monitor cost (compiled tag-free)",
               "wall-clock medians over 9 interleaved runs; 'ratio' is vs "
               "the monitor off; 'sample' profiles every 512 steps, "
@@ -141,22 +75,22 @@ void reportCost() {
               {"workload", "mode", "median ms", "ratio", "samples",
                "heartbeats"});
   bool Pass = true;
-  for (Workload &W : Workloads) {
-    jsonWorkload(W.Name);
-    auto P = compileOrDie(W.Src);
-    std::array<uint64_t, 3> Med = medianWallNs(
-        *P, GcStrategy::CompiledTagFree, W.Algo, W.Heap, W.Nursery);
+  for (CostWorkload *W : {&Arith, &ListChurn}) {
+    jsonWorkload(W->Name);
+    std::array<uint64_t, 3> Med = medianWallNs<3>(9, [&](size_t M) {
+      uint64_t Ns = 0;
+      monitoredRun(*W, (MonitorMode)M, &Ns);
+      return Ns;
+    });
     for (MonitorMode Mode : {Off, Sample, Stream}) {
       double Ratio = Med[Off] ? (double)Med[Mode] / (double)Med[Off] : 0.0;
-      Monitor Mon(monOpts(Mode));
-      monitoredRun(*P, GcStrategy::CompiledTagFree, W.Algo, W.Heap,
-                   W.Nursery, Mode, nullptr, &Mon);
-      tableCell(W.Name);
+      auto S = monitoredRun(*W, Mode, nullptr, /*Record=*/true);
+      tableCell(W->Name);
       tableCell(modeName(Mode));
       tableCell((double)Med[Mode] / 1e6);
       tableCell(Ratio);
-      tableCell(Mon.samples());
-      tableCell(Mon.heartbeatsEmitted());
+      tableCell(S->monitor().samples());
+      tableCell(S->monitor().heartbeatsEmitted());
       tableEnd();
       if (Mode == Sample && Ratio > 1.05)
         Pass = false;
@@ -177,7 +111,8 @@ void reportMmu() {
   // The observability payoff: the monitor prices each algorithm's pause
   // behaviour on the same minor-dominated workload. MMU(w) is the worst
   // fraction of any w-window the mutator kept.
-  auto P = compileOrDie(wl::generationalChurn(20000, 30, 4000));
+  CostWorkload Churn =
+      genWorkload("generationalChurn", wl::generationalChurn(20000, 30, 4000));
   tableHeader("E12: MMU on generationalChurn (compiled tag-free)",
               "monitor-measured minimum mutator utilization; higher is "
               "better; 'mut frac' is overall mutator share of wall-clock",
@@ -187,12 +122,12 @@ void reportMmu() {
   const GcAlgorithm Algos[] = {GcAlgorithm::Copying, GcAlgorithm::MarkSweep,
                                GcAlgorithm::Generational};
   for (GcAlgorithm A : Algos) {
-    size_t Nursery = A == GcAlgorithm::Generational ? GenNurseryBytes : 0;
-    Monitor Mon;
-    Stats St = monitoredRun(*P, GcStrategy::CompiledTagFree, A, GenHeapBytes,
-                            Nursery, Sample, nullptr, &Mon);
+    Churn.Algo = A;
+    Churn.Nursery = A == GcAlgorithm::Generational ? 1 << 13 : 0;
+    auto S = monitoredRun(Churn, Sample, nullptr, /*Record=*/true);
+    Monitor &Mon = S->monitor();
     tableCell(gcAlgorithmName(A));
-    tableCell(St.get(StatId::GcCollections));
+    tableCell(S->stats().get(StatId::GcCollections));
     tableCell(Mon.mutatorFraction());
     tableCell(Mon.mmu(1'000'000));
     tableCell(Mon.mmu(10'000'000));
@@ -209,21 +144,11 @@ void reportMmu() {
       "of assumed.\n");
 }
 
-std::unique_ptr<CompiledProgram> &arithProg() {
-  static auto P = compileOrDie(wl::arithKernel(200000));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &churnProg() {
-  static auto P = compileOrDie(wl::listChurn(200, 64));
-  return P;
-}
-
 void BM_Arith(benchmark::State &State, MonitorMode Mode) {
   for (auto _ : State) {
     uint64_t W = 0;
-    Stats St = monitoredRun(*arithProg(), GcStrategy::CompiledTagFree,
-                            GcAlgorithm::Copying, HeapBytes, 0, Mode, &W);
-    State.counters["steps"] = (double)St.get(StatId::VmSteps);
+    auto S = monitoredRun(Arith, Mode, &W);
+    State.counters["steps"] = (double)S->stats().get(StatId::VmSteps);
     benchmark::DoNotOptimize(W);
   }
 }
@@ -231,9 +156,9 @@ void BM_Arith(benchmark::State &State, MonitorMode Mode) {
 void BM_ListChurn(benchmark::State &State, MonitorMode Mode) {
   for (auto _ : State) {
     uint64_t W = 0;
-    Stats St = monitoredRun(*churnProg(), GcStrategy::CompiledTagFree,
-                            GcAlgorithm::Copying, HeapBytes, 0, Mode, &W);
-    State.counters["collections"] = (double)St.get(StatId::GcCollections);
+    auto S = monitoredRun(ListChurn, Mode, &W);
+    State.counters["collections"] =
+        (double)S->stats().get(StatId::GcCollections);
     benchmark::DoNotOptimize(W);
   }
 }

@@ -28,18 +28,12 @@
 
 #include "BenchUtil.h"
 
-#include "support/Epoch.h"
-#include "support/Introspect.h"
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <array>
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 using namespace tfgc;
@@ -48,9 +42,11 @@ namespace wl = tfgc::workloads;
 
 namespace {
 
-constexpr size_t HeapBytes = 1 << 16;
-constexpr size_t GenHeapBytes = 1 << 20;
-constexpr size_t GenNurseryBytes = 1 << 13;
+const char *MetricsTmp = "/tmp/tfgc_bench_observe.prom";
+
+CostWorkload Arith{"arith", wl::arithKernel(200000)};
+CostWorkload GenChurn =
+    genWorkload("generationalChurn", wl::generationalChurn(200, 20, 400));
 
 enum ObserveMode { Plain = 0, Epoch = 1, Serve = 2 };
 
@@ -90,110 +86,47 @@ struct RunOut {
   uint64_t Scrapes = 0;
 };
 
-/// One compile-free run under \p Mode.
-Stats observedRun(CompiledProgram &P, GcAlgorithm A, size_t Heap,
-                  size_t Nursery, ObserveMode Mode, RunOut *Out = nullptr,
-                  bool RecordJson = false) {
-  Stats St;
-  std::string Err;
-  auto Col = P.makeCollector(GcStrategy::CompiledTagFree, A, Heap, St, &Err,
-                             Nursery);
-  if (!Col) {
-    std::fprintf(stderr, "makeCollector failed: %s\n", Err.c_str());
-    std::abort();
-  }
-  EpochAggregator Agg;
-  IntrospectServer Srv;
+/// One compile-free run of \p W under \p Mode, assembled as tfgc
+/// assembles --metrics-out (epoch) or --serve=0 (serve, with a scraper
+/// thread on the bound port for the whole run).
+std::unique_ptr<Session> observedRun(CostWorkload &W, ObserveMode Mode,
+                                     RunOut *Out = nullptr,
+                                     bool RecordJson = false) {
+  CliOptions O = W.options();
+  if (Mode == Epoch)
+    O.MetricsOutPath = MetricsTmp;
+  if (Mode == Serve)
+    O.ServePort = 0;
   std::thread Scraper;
   std::atomic<bool> StopScraper{false};
   std::atomic<uint64_t> Scrapes{0};
-  if (Mode != Plain) {
-    Agg.attachStats(&St);
-    Agg.setLabel("compiled-tagfree/bench");
-    Col->setEpochAggregator(&Agg);
-  }
-  if (Mode == Serve) {
-    uint16_t Port = Srv.start(0, Err);
-    if (!Port) {
-      std::fprintf(stderr, "server start failed: %s\n", Err.c_str());
-      std::abort();
-    }
-    Agg.attachServer(&Srv);
-    Agg.fold(SafepointKind::Startup);
-    Scraper = std::thread([&] {
+  uint64_t WallNs = 0;
+  auto S = sessionRun(W.program(), O, &WallNs, [&](Session &Sn) {
+    if (Mode != Serve)
+      return;
+    Scraper = std::thread([&, Port = Sn.servePort()] {
       while (!StopScraper.load(std::memory_order_relaxed)) {
         if (scrapeOnce(Port))
           Scrapes.fetch_add(1, std::memory_order_relaxed);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     });
-  }
-
-  Vm M(P.Prog, P.Image, *P.Types, *Col,
-       defaultVmOptions(GcStrategy::CompiledTagFree));
-  auto T0 = std::chrono::steady_clock::now();
-  RunResult R = M.run();
-  auto T1 = std::chrono::steady_clock::now();
-  if (!R.Ok) {
-    std::fprintf(stderr, "bench run failed: %s\n", R.Error.c_str());
-    std::abort();
-  }
-  M.flushCounters();
-  if (Mode != Plain)
-    Agg.fold(SafepointKind::RunEnd);
-  if (Mode == Serve) {
+  });
+  if (Scraper.joinable()) {
     StopScraper.store(true, std::memory_order_relaxed);
     Scraper.join();
-    Srv.stop();
   }
   if (Out) {
-    Out->WallNs =
-        (uint64_t)std::chrono::duration_cast<std::chrono::nanoseconds>(T1 -
-                                                                       T0)
-            .count();
-    Out->Epochs = Agg.epochCount();
+    Out->WallNs = WallNs;
+    Out->Epochs = S->epochs().epochCount();
     Out->Scrapes = Scrapes.load();
   }
   if (RecordJson)
-    if (JsonSink *Sink = JsonSink::active())
-      Sink->record((std::string("compiled-tagfree+") + modeName(Mode)).c_str(),
-                   A, Heap, St, Nursery);
-  return St;
-}
-
-/// Samples all three modes round-robin (after one untimed warmup) so
-/// drift hits every mode equally.
-std::array<uint64_t, 3> medianWallNs(CompiledProgram &P, GcAlgorithm A,
-                                     size_t Heap, size_t Nursery,
-                                     int Reps = 11) {
-  observedRun(P, A, Heap, Nursery, Plain);
-  std::array<std::vector<uint64_t>, 3> Ns;
-  for (int I = 0; I < Reps; ++I)
-    for (ObserveMode Mode : {Plain, Epoch, Serve}) {
-      RunOut Out;
-      observedRun(P, A, Heap, Nursery, Mode, &Out);
-      Ns[Mode].push_back(Out.WallNs);
-    }
-  std::array<uint64_t, 3> Med;
-  for (int M = 0; M < 3; ++M) {
-    std::sort(Ns[M].begin(), Ns[M].end());
-    Med[M] = Ns[M][Ns[M].size() / 2];
-  }
-  return Med;
+    jsonRecord(std::string("compiled-tagfree+") + modeName(Mode), *S);
+  return S;
 }
 
 void reportCost() {
-  struct Workload {
-    const char *Name;
-    std::string Src;
-    GcAlgorithm Algo;
-    size_t Heap, Nursery;
-  } Workloads[] = {
-      {"arith", wl::arithKernel(200000), GcAlgorithm::Copying, HeapBytes, 0},
-      {"generationalChurn", wl::generationalChurn(200, 20, 400),
-       GcAlgorithm::Generational, GenHeapBytes, GenNurseryBytes},
-  };
-
   tableHeader("E14: sharded observability cost (compiled tag-free)",
               "wall-clock medians over 11 interleaved runs; 'ratio' is vs "
               "plain; 'epoch' folds all shards at every collection, "
@@ -201,17 +134,18 @@ void reportCost() {
               {"workload", "mode", "median ms", "ratio", "epochs",
                "scrapes"});
   bool Pass = true;
-  for (Workload &W : Workloads) {
-    jsonWorkload(W.Name);
-    auto P = compileOrDie(W.Src);
-    std::array<uint64_t, 3> Med =
-        medianWallNs(*P, W.Algo, W.Heap, W.Nursery);
+  for (CostWorkload *W : {&Arith, &GenChurn}) {
+    jsonWorkload(W->Name);
+    std::array<uint64_t, 3> Med = medianWallNs<3>(11, [&](size_t M) {
+      RunOut Out;
+      observedRun(*W, (ObserveMode)M, &Out);
+      return Out.WallNs;
+    });
     for (ObserveMode Mode : {Plain, Epoch, Serve}) {
       double Ratio = Med[Plain] ? (double)Med[Mode] / (double)Med[Plain] : 0.0;
       RunOut Out;
-      observedRun(*P, W.Algo, W.Heap, W.Nursery, Mode, &Out,
-                  /*RecordJson=*/true);
-      tableCell(W.Name);
+      observedRun(*W, Mode, &Out, /*RecordJson=*/true);
+      tableCell(W->Name);
       tableCell(modeName(Mode));
       tableCell((double)Med[Mode] / 1e6);
       tableCell(Ratio);
@@ -231,21 +165,11 @@ void reportCost() {
              "the ratio");
 }
 
-std::unique_ptr<CompiledProgram> &arithProg() {
-  static auto P = compileOrDie(wl::arithKernel(200000));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &churnProg() {
-  static auto P = compileOrDie(wl::generationalChurn(200, 20, 400));
-  return P;
-}
-
 void BM_Arith(benchmark::State &State, ObserveMode Mode) {
   for (auto _ : State) {
     RunOut Out;
-    Stats St = observedRun(*arithProg(), GcAlgorithm::Copying, HeapBytes, 0,
-                           Mode, &Out);
-    State.counters["steps"] = (double)St.get(StatId::VmSteps);
+    auto S = observedRun(Arith, Mode, &Out);
+    State.counters["steps"] = (double)S->stats().get(StatId::VmSteps);
     benchmark::DoNotOptimize(Out.WallNs);
   }
 }
@@ -253,9 +177,9 @@ void BM_Arith(benchmark::State &State, ObserveMode Mode) {
 void BM_GenChurn(benchmark::State &State, ObserveMode Mode) {
   for (auto _ : State) {
     RunOut Out;
-    Stats St = observedRun(*churnProg(), GcAlgorithm::Generational,
-                           GenHeapBytes, GenNurseryBytes, Mode, &Out);
-    State.counters["collections"] = (double)St.get(StatId::GcCollections);
+    auto S = observedRun(GenChurn, Mode, &Out);
+    State.counters["collections"] =
+        (double)S->stats().get(StatId::GcCollections);
     State.counters["epochs"] = (double)Out.Epochs;
     benchmark::DoNotOptimize(Out.WallNs);
   }
@@ -281,5 +205,6 @@ int main(int argc, char **argv) {
       "costs the mutator nothing it wasn't already paying.\n\n");
   benchmark::Initialize(&argc, argv);
   Sink.runBenchmarksAndWrite();
+  std::remove(MetricsTmp);
   return 0;
 }

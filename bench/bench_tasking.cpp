@@ -20,9 +20,6 @@
 
 #include "BenchUtil.h"
 
-#include "sched/ThreadedTasking.h"
-#include "tasking/Tasking.h"
-
 #include <thread>
 
 using namespace tfgc;
@@ -32,29 +29,27 @@ namespace wl = tfgc::workloads;
 namespace {
 
 struct TaskRun {
-  Stats St;
+  std::unique_ptr<CompiledProgram> P;
+  std::unique_ptr<Session> S;
   bool Ok = false;
 };
 
+/// Workers plus a spinner on the cooperative scheduler (--threads=1, so
+/// the session compiles tasking-safe) under suspension policy \p Policy.
 TaskRun runTasks(SuspendChecks Policy, int Workers, int Iters,
                  int SpinRounds, int SpinN, size_t HeapBytes) {
+  CliOptions O;
+  O.HeapBytes = HeapBytes;
+  O.Threads = 1;
   TaskRun Out;
-  // The every-call policies suspend tasks at arbitrary call sites, so
-  // compile tasking-safe: gc_words everywhere and call arguments traced
-  // (see DESIGN.md).
-  CompileOptions O;
-  O.TaskingSafe = true;
-  auto P = compileOrDie(wl::taskWorkerAndSpinner(), O);
-  std::string Err;
-  auto Col = P->makeCollector(GcStrategy::CompiledTagFree,
-                              GcAlgorithm::Copying, HeapBytes, Out.St, &Err);
-  if (!Col)
-    std::abort();
-  TaskingOptions TO;
+  Out.P = compileOrDie(wl::taskWorkerAndSpinner(), sessionCompileOptions(O));
+  Out.S = openSession(*Out.P, O);
+  TaskingOptions TO = Out.S->taskingOptions();
   TO.Policy = Policy;
-  TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-  FuncId Worker = findFunction(P->Prog, "worker");
-  FuncId Spinner = findFunction(P->Prog, "spinner");
+  TaskingRuntime Rt(Out.P->Prog, Out.P->Image, *Out.P->Types,
+                    Out.S->collector(), TO);
+  FuncId Worker = findFunction(Out.P->Prog, "worker");
+  FuncId Spinner = findFunction(Out.P->Prog, "spinner");
   for (int64_t SeedIdx = 1; SeedIdx <= Workers; ++SeedIdx)
     Rt.spawnInt(Worker, {SeedIdx, Iters});
   if (SpinRounds > 0)
@@ -76,15 +71,16 @@ void report(SuspendChecks Policy) {
   TaskRun R = runTasks(Policy, 3, 60, 60, 2500, 1 << 13);
   if (!R.Ok)
     std::abort();
-  uint64_t Stops = R.St.get(StatId::TaskWorldStops);
+  const Stats &St = R.S->stats();
+  uint64_t Stops = St.get(StatId::TaskWorldStops);
   tableCell(policyName(Policy));
-  tableCell(R.St.get(StatId::TaskSuspendChecks));
+  tableCell(St.get(StatId::TaskSuspendChecks));
   tableCell(Stops);
-  tableCell(Stops ? (double)R.St.get(StatId::TaskStepsToWorldStopTotal) /
+  tableCell(Stops ? (double)St.get(StatId::TaskStepsToWorldStopTotal) /
                         (double)Stops
                   : 0.0);
-  tableCell(R.St.get(StatId::TaskStepsToWorldStopMax));
-  tableCell(R.St.get(StatId::TaskContextSwitches));
+  tableCell(St.get(StatId::TaskStepsToWorldStopMax));
+  tableCell(St.get(StatId::TaskContextSwitches));
   tableEnd();
 }
 
@@ -92,41 +88,24 @@ void report(SuspendChecks Policy) {
 // E15: GC-bound generational churn on real threads
 //===----------------------------------------------------------------------===//
 
-struct ThreadedRun {
-  Stats St;
-  bool Ok = false;
-};
-
 /// One churn task per thread on a shared generational heap small enough
-/// that collection dominates. Threads==1 runs the cooperative scheduler
-/// (same logical program, no OS threads) as the baseline row.
-ThreadedRun runThreadedChurn(unsigned Threads, int Iters, size_t HeapBytes) {
-  ThreadedRun Out;
-  CompileOptions O;
-  O.TaskingSafe = true;
-  auto P = compileOrDie(wl::taskWorker(), O);
-  std::string Err;
-  auto Col =
-      P->makeCollector(GcStrategy::CompiledTagFree, GcAlgorithm::Generational,
-                       HeapBytes, Out.St, &Err);
-  if (!Col)
-    std::abort();
-  TaskingOptions TO;
-  TO.Policy = SuspendChecks::AtEveryCall;
-  FuncId Worker = findFunction(P->Prog, "worker");
-  auto Spawn = [&](auto &Rt) {
-    for (unsigned I = 0; I < Threads; ++I)
-      Rt.spawnInt(Worker, {(int64_t)I + 1, Iters});
-    Out.Ok = Rt.runAll();
-  };
-  if (Threads <= 1) {
-    TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-    Spawn(Rt);
-  } else {
-    Col->setGcThreads(Threads);
-    ThreadedRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-    Spawn(Rt);
-  }
+/// that collection dominates, assembled as tfgc --threads=N assembles it:
+/// N==1 runs the cooperative scheduler (same logical program, no OS
+/// threads) as the baseline row, N>=2 one OS thread per task with an
+/// N-way parallel tracer.
+TaskRun runThreadedChurn(unsigned Threads, int Iters, size_t HeapBytes) {
+  CliOptions O;
+  O.Algo = GcAlgorithm::Generational;
+  O.HeapBytes = HeapBytes;
+  O.Threads = Threads;
+  TaskRun Out;
+  Out.P = compileOrDie(wl::taskWorker(), sessionCompileOptions(O));
+  Out.S = openSession(*Out.P, O);
+  FuncId Worker = findFunction(Out.P->Prog, "worker");
+  std::vector<Session::TaskSpawn> Tasks;
+  for (unsigned I = 0; I < Threads; ++I)
+    Tasks.push_back({Worker, {(int64_t)I + 1, Iters}});
+  Out.Ok = Out.S->runTasks(Tasks).Ok;
   return Out;
 }
 
@@ -140,43 +119,42 @@ uint64_t worstStopDelayP99(const Stats &St, unsigned Threads) {
 }
 
 void reportThreaded(unsigned Threads, size_t HeapBytes) {
-  ThreadedRun R = runThreadedChurn(Threads, 60, HeapBytes);
+  TaskRun R = runThreadedChurn(Threads, 60, HeapBytes);
   if (!R.Ok)
     std::abort();
-  if (JsonSink *Sink = JsonSink::active())
-    Sink->record("compiled", GcAlgorithm::Generational, HeapBytes, R.St, 0,
-                 Threads);
+  jsonRecord("compiled", *R.S);
+  const Stats &St = R.S->stats();
   // Copying-family collectors have no per-cycle reclaimed counter; the
   // tracer's work rate (bytes traced per pause second) is the number the
   // parallel mark/copy phase actually moves.
-  uint64_t TracedBytes = R.St.get(StatId::GcWordsVisited) * sizeof(Word);
-  uint64_t PauseNs = R.St.get(StatId::GcPauseNsTotal);
+  uint64_t TracedBytes = St.get(StatId::GcWordsVisited) * sizeof(Word);
+  uint64_t PauseNs = St.get(StatId::GcPauseNsTotal);
   tableCell((uint64_t)Threads);
-  tableCell(R.St.get(StatId::TaskWorldStops));
-  tableCell(R.St.get(StatId::GcCollections));
+  tableCell(St.get(StatId::TaskWorldStops));
+  tableCell(St.get(StatId::GcCollections));
   tableCell(TracedBytes / 1024);
   tableCell((double)PauseNs / 1e6);
   tableCell(PauseNs ? (double)TracedBytes * 1e3 / (double)PauseNs : 0.0);
-  tableCell((double)worstStopDelayP99(R.St, Threads) / 1e3);
+  tableCell((double)worstStopDelayP99(St, Threads) / 1e3);
   tableEnd();
 }
 
 void BM_ThreadedChurn(benchmark::State &State, unsigned Threads) {
   for (auto _ : State) {
-    ThreadedRun R = runThreadedChurn(Threads, 30, 1 << 13);
+    TaskRun R = runThreadedChurn(Threads, 30, 1 << 13);
     if (!R.Ok) {
       State.SkipWithError("task failure");
       return;
     }
+    const Stats &St = R.S->stats();
     State.counters["threads"] = (double)Threads;
-    State.counters["collections"] = (double)R.St.get(StatId::GcCollections);
-    uint64_t PauseNs = R.St.get(StatId::GcPauseNsTotal);
+    State.counters["collections"] = (double)St.get(StatId::GcCollections);
+    uint64_t PauseNs = St.get(StatId::GcPauseNsTotal);
     State.counters["trace_mb_per_s"] =
-        PauseNs ? (double)R.St.get(StatId::GcWordsVisited) * sizeof(Word) *
+        PauseNs ? (double)St.get(StatId::GcWordsVisited) * sizeof(Word) *
                       1e3 / (double)PauseNs
                 : 0.0;
-    State.counters["stop_p99_ns"] =
-        (double)worstStopDelayP99(R.St, Threads);
+    State.counters["stop_p99_ns"] = (double)worstStopDelayP99(St, Threads);
   }
 }
 BENCHMARK_CAPTURE(BM_ThreadedChurn, t1, 1u);
@@ -191,7 +169,8 @@ void BM_Tasking(benchmark::State &State, SuspendChecks Policy) {
       State.SkipWithError("task failure");
       return;
     }
-    State.counters["world_stops"] = (double)R.St.get(StatId::TaskWorldStops);
+    State.counters["world_stops"] =
+        (double)R.S->stats().get(StatId::TaskWorldStops);
   }
 }
 BENCHMARK_CAPTURE(BM_Tasking, alloc_only, SuspendChecks::AtAllocation);

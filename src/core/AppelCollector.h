@@ -28,6 +28,9 @@ public:
                  TypeContext &Types, AppelMetadata *AM,
                  bool GlogerDummies = false, size_t NurseryBytes = 0);
 
+  /// One descriptor per procedure covers every slot, live or not.
+  bool scansUninitializedSlots() const override { return true; }
+
 protected:
   void traceRoots(RootSet &Roots, Space &Sp) override;
   void traceRemset(Space &Sp) override;

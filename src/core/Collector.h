@@ -67,6 +67,13 @@ public:
 
   ValueModel model() const { return Model; }
   GcAlgorithm algorithm() const { return Algo; }
+
+  /// True when root tracing reads every frame slot, initialized or not —
+  /// tagged scanning and Appel's per-procedure descriptors — so every VM
+  /// over this collector zeroes its frames at entry (paper 1.1.1).
+  /// Goldberg's per-call-site routines trace only initialized slots.
+  virtual bool scansUninitializedSlots() const { return false; }
+
   Stats &stats() { return St; }
 
   /// Per-collection phase spans, pause/phase histograms, and heap census

@@ -24,6 +24,9 @@ public:
                   size_t NurseryBytes = 0)
       : Collector(ValueModel::Tagged, Algo, HeapBytes, St, NurseryBytes) {}
 
+  /// The tag scan reads every slot of every frame.
+  bool scansUninitializedSlots() const override { return true; }
+
 protected:
   void traceRoots(RootSet &Roots, Space &Sp) override;
   void traceRemset(Space &Sp) override;

@@ -2,19 +2,16 @@
 
 #include "driver/Cli.h"
 
+#include "driver/Session.h"
 #include "ir/Ir.h"
-#include "sched/ThreadedTasking.h"
-#include "support/Epoch.h"
-#include "support/FlightRecorder.h"
-#include "support/HeapGraph.h"
-#include "support/Introspect.h"
 
-#include <chrono>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace tfgc;
 
@@ -146,6 +143,24 @@ const CliFlag *findFlag(const std::string &Arg, std::string &Value) {
   return nullptr;
 }
 
+/// Parses \p Value for flag \p Name as a decimal count in [Min, Max]:
+/// digits only, so a sign, a suffix, or trailing text is an error rather
+/// than a silently truncated number.
+bool parseCount(const std::string &Name, const std::string &Value,
+                uint64_t Min, uint64_t Max, const char *What, uint64_t &Out,
+                std::string &Err) {
+  bool Ok = !Value.empty() &&
+            Value.find_first_not_of("0123456789") == std::string::npos;
+  errno = 0;
+  unsigned long long N = Ok ? std::strtoull(Value.c_str(), nullptr, 10) : 0;
+  if (!Ok || errno == ERANGE || N < Min || N > Max) {
+    Err = Name + ": '" + Value + "' is not " + What;
+    return false;
+  }
+  Out = N;
+  return true;
+}
+
 } // namespace
 
 bool tfgc::parseCli(const std::vector<std::string> &Args, CliOptions &O,
@@ -168,6 +183,7 @@ bool tfgc::parseCli(const std::vector<std::string> &Args, CliOptions &O,
       continue;
     }
     std::string Value;
+    uint64_t N = 0;
     const CliFlag *F = findFlag(Arg, Value);
     if (!F) {
       Err = "unknown option '" + Arg + "'";
@@ -200,18 +216,18 @@ bool tfgc::parseCli(const std::vector<std::string> &Args, CliOptions &O,
         return false;
       }
     } else if (Name == "--heap") {
-      O.HeapBytes = (size_t)std::strtoull(Value.c_str(), nullptr, 10);
+      if (!parseCount(Name, Value, 0, SIZE_MAX, "a byte count", N, Err))
+        return false;
+      O.HeapBytes = (size_t)N;
     } else if (Name == "--nursery-bytes") {
-      O.NurseryBytes = (size_t)std::strtoull(Value.c_str(), nullptr, 10);
+      if (!parseCount(Name, Value, 0, SIZE_MAX, "a byte count", N, Err))
+        return false;
+      O.NurseryBytes = (size_t)N;
     } else if (Name == "--stress") {
       O.Stress = true;
     } else if (Name == "--threads") {
-      char *EndP = nullptr;
-      unsigned long N = std::strtoul(Value.c_str(), &EndP, 10);
-      if (Value.empty() || (EndP && *EndP) || N > 256) {
-        Err = "--threads: '" + Value + "' is not a thread count (0-256)";
+      if (!parseCount(Name, Value, 0, 256, "a thread count (0-256)", N, Err))
         return false;
-      }
       O.Threads = (unsigned)N;
     } else if (Name == "--dispatch") {
       if (Value == "threaded")
@@ -269,44 +285,47 @@ bool tfgc::parseCli(const std::vector<std::string> &Args, CliOptions &O,
       O.HeapSnapshotPath = Value;
       O.HeapProfile = true;
     } else if (Name == "--retainers") {
-      O.Retainers = (unsigned)std::strtoul(Value.c_str(), nullptr, 10);
+      if (!parseCount(Name, Value, 0, UINT_MAX, "a count", N, Err))
+        return false;
+      O.Retainers = (unsigned)N;
       O.HeapProfile = true;
     } else if (Name == "--heap-dump") {
       O.HeapDumpPath = Value;
       O.HeapProfile = true;
     } else if (Name == "--heap-dump-every") {
-      char *EndP = nullptr;
-      unsigned long long N = std::strtoull(Value.c_str(), &EndP, 10);
-      if (Value.empty() || (EndP && *EndP) || N == 0) {
-        Err = "--heap-dump-every: '" + Value + "' is not a positive count";
+      if (!parseCount(Name, Value, 1, UINT64_MAX, "a positive count",
+                      O.HeapDumpEvery, Err))
         return false;
-      }
-      O.HeapDumpEvery = N;
     } else if (Name == "--monitor") {
       O.Monitor = true;
     } else if (Name == "--monitor-out") {
       O.MonitorOutPath = Value;
       O.Monitor = true;
     } else if (Name == "--monitor-period-ms") {
-      O.MonitorPeriodMs = std::strtoull(Value.c_str(), nullptr, 10);
+      if (!parseCount(Name, Value, 0, UINT64_MAX, "a period in ms",
+                      O.MonitorPeriodMs, Err))
+        return false;
     } else if (Name == "--monitor-sample-steps") {
-      O.MonitorSampleSteps = std::strtoull(Value.c_str(), nullptr, 10);
+      if (!parseCount(Name, Value, 0, UINT64_MAX, "a step count",
+                      O.MonitorSampleSteps, Err))
+        return false;
       O.Monitor = true;
     } else if (Name == "--serve") {
-      unsigned long Port = std::strtoul(Value.c_str(), nullptr, 10);
-      if (Port > 65535) {
-        Err = "--serve: port '" + Value + "' out of range";
+      if (!parseCount(Name, Value, 0, 65535, "a port (0-65535)", N, Err))
         return false;
-      }
-      O.ServePort = (int)Port;
+      O.ServePort = (int)N;
     } else if (Name == "--serve-linger-ms") {
-      O.ServeLingerMs = std::strtoull(Value.c_str(), nullptr, 10);
+      if (!parseCount(Name, Value, 0, UINT64_MAX, "a duration in ms",
+                      O.ServeLingerMs, Err))
+        return false;
     } else if (Name == "--metrics-out") {
       O.MetricsOutPath = Value;
     } else if (Name == "--flight-out") {
       O.FlightOutPath = Value;
     } else if (Name == "--flight-buffer-kb") {
-      O.FlightBufferKb = std::strtoull(Value.c_str(), nullptr, 10);
+      if (!parseCount(Name, Value, 0, UINT64_MAX, "a size in KiB",
+                      O.FlightBufferKb, Err))
+        return false;
     } else if (Name == "-e") {
       if (++I >= Args.size()) {
         Err = "-e needs an argument";
@@ -365,14 +384,9 @@ bool tfgc::parseCli(const std::vector<std::string> &Args, CliOptions &O,
 }
 
 int tfgc::runTfgc(const CliOptions &O) {
-  CompileOptions CO = O.Compile;
-  // Tasks suspend at arbitrary call sites, so the tasking paths need
-  // gc_words everywhere and call arguments kept live (DESIGN.md).
-  if (O.Threads >= 1)
-    CO.TaskingSafe = true;
-  Compiler C(CO);
   std::string Error;
-  std::unique_ptr<CompiledProgram> P = C.compile(O.Source, &Error);
+  std::unique_ptr<CompiledProgram> P =
+      Compiler(sessionCompileOptions(O)).compile(O.Source, &Error);
   if (!P) {
     std::fprintf(stderr, "%s", Error.c_str());
     return 1;
@@ -399,253 +413,36 @@ int tfgc::runTfgc(const CliOptions &O) {
     return 0;
   }
 
-  Stats St;
-  std::unique_ptr<Collector> Col = P->makeCollector(
-      O.Strategy, O.Algo, O.HeapBytes, St, &Error, O.NurseryBytes);
-  if (!Col) {
-    std::fprintf(stderr, "%s\n", Error.c_str());
-    return 1;
-  }
-  Col->setVerifyAfterGc(O.Verify);
-  Col->setInjectVerifyViolation(O.InjectVerifyViolation);
+  Session S(*P, O);
+  if (int Rc = S.open())
+    return Rc;
+  if (O.ServePort >= 0)
+    std::fprintf(stderr, "tfgc: serving introspection on 127.0.0.1:%u\n",
+                 (unsigned)S.servePort());
+  RunResult R = S.run();
+  // Every artifact is written before the exit code is decided: a verify
+  // failure, a runtime error or an unwritable artifact must still leave
+  // the others on disk for post-mortem analysis.
+  bool Written = S.finish();
 
-  HeapProfiler Prof;
-  HeapGraph Graph;
-  if (O.HeapProfile) {
-    attachHeapProfiler(*P, O.Strategy, *Col, Prof);
-    // --retainers and --heap-dump both read the graph capture; without
-    // either it never fires.
-    Prof.setHeapGraph(&Graph);
-    Prof.setRetainers(O.Retainers);
-    Prof.setLabel(std::string(gcStrategyName(O.Strategy)) + "/" +
-                  gcAlgorithmName(O.Algo));
-  }
-  if (!O.HeapDumpPath.empty()) {
-    std::string GErr;
-    if (!Graph.openFile(O.HeapDumpPath, &GErr)) {
-      std::fprintf(stderr, "cannot open '%s': %s\n", O.HeapDumpPath.c_str(),
-                   GErr.c_str());
-      return 2;
-    }
-    Graph.setEvery(O.HeapDumpEvery ? O.HeapDumpEvery : 1);
-  }
-
-  Monitor::Options MonOpts;
-  MonOpts.SamplePeriodSteps = O.MonitorSampleSteps;
-  if (O.MonitorPeriodMs)
-    MonOpts.HeartbeatPeriodMs = O.MonitorPeriodMs;
-  Monitor Mon(MonOpts);
-  std::ofstream MonOut;
-  if (O.Monitor) {
-    Mon.setLabel(std::string(gcStrategyName(O.Strategy)) + "/" +
-                 gcAlgorithmName(O.Algo));
-    Mon.setStats(&St);
-    attachMonitor(*P, *Col, Mon);
-    if (!O.MonitorOutPath.empty()) {
-      MonOut.open(O.MonitorOutPath);
-      if (!MonOut) {
-        std::fprintf(stderr, "cannot open '%s'\n", O.MonitorOutPath.c_str());
-        return 2;
-      }
-      Mon.setStream(&MonOut);
-    }
-  }
-
-  // Epoch aggregation + live introspection. Both are pure additions over
-  // the sharded Stats: with neither --serve nor --metrics-out, no
-  // aggregator is attached and no fold ever runs.
-  EpochAggregator Agg;
-  IntrospectServer Srv;
-  bool WantEpochs = O.ServePort >= 0 || !O.MetricsOutPath.empty();
-  if (WantEpochs) {
-    Agg.attachStats(&St);
-    Agg.setLabel(std::string(gcStrategyName(O.Strategy)) + "/" +
-                 gcAlgorithmName(O.Algo));
-    Col->setEpochAggregator(&Agg);
-    if (O.Monitor)
-      Mon.setAggregator(&Agg);
-    if (O.HeapProfile)
-      Agg.setSnapshotProvider([&Prof] {
-        std::ostringstream SS;
-        Prof.writeSnapshotJson(SS);
-        return SS.str();
-      });
-    if (O.ServePort >= 0) {
-      std::string SrvErr;
-      uint16_t Port = Srv.start((uint16_t)O.ServePort, SrvErr);
-      if (!Port) {
-        std::fprintf(stderr, "cannot start introspection server: %s\n",
-                     SrvErr.c_str());
-        return 2;
-      }
-      Agg.attachServer(&Srv);
-      std::fprintf(stderr, "tfgc: serving introspection on 127.0.0.1:%u\n",
-                   (unsigned)Port);
-    }
-    // Epoch 1: the world trivially stopped before any mutator ran, so
-    // /metrics answers coherently from the first scrape on.
-    Agg.fold(SafepointKind::Startup);
-  }
-
-  // Flight recorder: per-thread rings for the N tasks (one for the
-  // sequential VM), the GC ring, and one ring per parallel trace worker.
-  std::unique_ptr<FlightRecorder> Flight;
-  if (!O.FlightOutPath.empty()) {
-    unsigned NTasks = O.Threads ? O.Threads : 1;
-    Flight = std::make_unique<FlightRecorder>(
-        NTasks, std::max(1u, O.Threads),
-        O.FlightBufferKb ? O.FlightBufferKb : 64);
-    std::string FErr;
-    if (!Flight->openFile(O.FlightOutPath, FErr)) {
-      std::fprintf(stderr, "cannot open '%s': %s\n", O.FlightOutPath.c_str(),
-                   FErr.c_str());
-      return 2;
-    }
-    Col->setFlightRecorder(Flight.get());
-    if (O.ServePort >= 0)
-      Flight->setChunkSink(
-          [&Srv](const std::string &Chunk) { Srv.publishFlightRecord(Chunk); });
-  }
-  // /heapdump mirrors /flightrecord: each captured graph chunk is also
-  // pushed to the server as a standalone decodable body.
-  if (!O.HeapDumpPath.empty() && O.ServePort >= 0)
-    Graph.setChunkSink(
-        [&Srv](const std::string &Chunk) { Srv.publishHeapDump(Chunk); });
-
-  Telemetry &Tel = Col->telemetry();
-  Tel.setLabel(gcStrategyName(O.Strategy));
-  if (O.GcLog)
-    Tel.setLogStream(stderr);
-  std::ofstream TraceOut;
-  if (!O.TraceOutPath.empty()) {
-    TraceOut.open(O.TraceOutPath);
-    if (!TraceOut) {
-      std::fprintf(stderr, "cannot open '%s'\n", O.TraceOutPath.c_str());
-      return 2;
-    }
-    if (O.Threads)
-      Tel.declareThreads(O.Threads);
-    Tel.beginTrace(TraceOut);
-  }
-
-  VmOptions VO = defaultVmOptions(O.Strategy, O.Stress);
-  VO.Dispatch = O.Dispatch;
-  VO.FuseSuperinstructions = O.Fuse;
-  VO.FloatSelfTag = O.FloatSelfTag;
-  VO.TailCalls = O.TailCalls;
-  RunResult R;
-  if (O.Threads == 0) {
-    if (Flight) {
-      // The sequential VM is "task 0" on its own timeline: ring 0 takes
-      // its start/exit bracket and GC requests; the GC ring (fed by the
-      // telemetry mirror) carries the collections between them.
-      VO.Flight = &Flight->taskRing(0);
-      VO.Flight->record(FlightEventType::ThreadStart);
-    }
-    Vm M(P->Prog, P->Image, *P->Types, *Col, VO);
-    R = M.run();
-    if (Flight)
-      Flight->taskRing(0).record(FlightEventType::ThreadExit);
-  } else {
-    // --threads=N: run main as N tasks over the shared heap. N==1 keeps
-    // the cooperative scheduler (the logical-counter reference); N>=2
-    // puts each task on its own OS thread and sizes the parallel tracer
-    // to match.
-    FuncId Main = P->Prog.MainId;
-    if (Main == InvalidFunc || P->Prog.fn(Main).NumParams != 0) {
-      std::fprintf(stderr, "--threads requires a zero-argument main\n");
-      return 1;
-    }
-    TaskingOptions TO;
-    TO.ZeroFrames = VO.ZeroFrames;
-    TO.Dispatch = O.Dispatch;
-    TO.FuseSuperinstructions = O.Fuse;
-    TO.FloatSelfTag = O.FloatSelfTag;
-    TO.TailCalls = O.TailCalls;
-    if (O.Threads >= 2)
-      TO.Flight = Flight.get();
-    auto RunTasks = [&](auto &Rt) {
-      for (unsigned I = 0; I < O.Threads; ++I)
-        Rt.spawnInt(Main, {});
-      R.Ok = Rt.runAll();
-      for (const TaskResult &TR : Rt.results()) {
-        R.Output += TR.Output;
-        if (!TR.Ok && R.Error.empty())
-          R.Error = TR.Error;
-      }
-      if (R.Ok)
-        R.Value = Rt.results().front().Value;
-    };
-    if (O.Threads == 1) {
-      TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-      RunTasks(Rt);
-    } else {
-      Col->setGcThreads(O.Threads);
-      ThreadedRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-      RunTasks(Rt);
-    }
-  }
-
-  // Flush every requested diagnostic artifact *before* deciding the exit
-  // code: a verify failure or uncaught runtime error must still leave the
-  // trace, stats, and snapshot on disk for post-mortem analysis.
-  if (!O.TraceOutPath.empty())
-    Tel.endTrace();
-  if (Flight)
-    Flight->finish(); // Final drain + close; exit 3 below still gets it.
-  if (!O.HeapDumpPath.empty())
-    Graph.finish(); // Chunks are flushed per capture; this closes the file.
-  if (O.Monitor)
-    Mon.finish();
-  // Final epoch: folded after the VM flushed its counters and the monitor
-  // finished, so it is bit-identical to the --stats-json counters written
-  // below (both read the same quiescent folded state).
-  if (WantEpochs)
-    Agg.fold(SafepointKind::RunEnd);
-  if (!O.MetricsOutPath.empty()) {
-    std::ofstream MetricsOut(O.MetricsOutPath);
-    if (!MetricsOut) {
-      std::fprintf(stderr, "cannot open '%s'\n", O.MetricsOutPath.c_str());
-      return 2;
-    }
-    MetricsOut << Agg.renderPrometheus();
-  }
-  if (!O.StatsJsonPath.empty()) {
-    std::ofstream JsonOut(O.StatsJsonPath);
-    if (!JsonOut) {
-      std::fprintf(stderr, "cannot open '%s'\n", O.StatsJsonPath.c_str());
-      return 2;
-    }
-    Tel.writeStatsJson(JsonOut, St);
-  }
-  if (!O.HeapSnapshotPath.empty()) {
-    std::ofstream SnapOut(O.HeapSnapshotPath);
-    if (!SnapOut) {
-      std::fprintf(stderr, "cannot open '%s'\n", O.HeapSnapshotPath.c_str());
-      return 2;
-    }
-    Prof.writeSnapshotJson(SnapOut);
-  }
-  // With all artifacts flushed and the final epoch published, optionally
-  // keep the server up so external scrapers can pull end-of-run totals.
-  if (O.ServePort >= 0 && O.ServeLingerMs)
-    std::this_thread::sleep_for(std::chrono::milliseconds(O.ServeLingerMs));
-
+  int Rc = 0;
   if (!R.Output.empty())
     std::fputs(R.Output.c_str(), stdout);
   if (!R.Ok) {
     std::fprintf(stderr, "runtime error: %s\n", R.Error.c_str());
-    return 1;
+    Rc = 1;
+  } else {
+    std::printf("%s\n", R.Value.c_str());
+    if (O.ShowStats)
+      std::fputs(S.stats().render().c_str(), stderr);
+    if (O.Monitor && O.ShowStats)
+      std::fputs(S.monitor().renderSummary().c_str(), stderr);
+    uint64_t Violations = S.stats().get(StatId::GcVerifyViolations);
+    if (O.Verify && Violations > 0) {
+      std::fprintf(stderr, "verify: %llu violation(s) detected\n",
+                   (unsigned long long)Violations);
+      Rc = 3;
+    }
   }
-  std::printf("%s\n", R.Value.c_str());
-  if (O.ShowStats)
-    std::fputs(St.render().c_str(), stderr);
-  if (O.Monitor && O.ShowStats)
-    std::fputs(Mon.renderSummary().c_str(), stderr);
-  if (O.Verify && St.get(StatId::GcVerifyViolations) > 0) {
-    std::fprintf(stderr, "verify: %llu violation(s) detected\n",
-                 (unsigned long long)St.get(StatId::GcVerifyViolations));
-    return 3;
-  }
-  return 0;
+  return Written ? Rc : 2;
 }

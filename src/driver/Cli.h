@@ -6,7 +6,9 @@
 /// cannot be parsed without being documented), an options struct, and an
 /// in-process runTfgc() that tools/tfgc.cpp wraps in main() and the test
 /// suite calls directly to exercise end-to-end behavior — exit codes,
-/// diagnostic flushing on abnormal exit, snapshot emission.
+/// diagnostic flushing on abnormal exit, snapshot emission. runTfgc only
+/// compiles and reports; driver/Session.h assembles the run itself from
+/// the same CliOptions, for the CLI, the benches and the tests alike.
 ///
 /// Exit codes: 0 success, 1 compile/runtime error, 2 usage or I/O error,
 /// 3 post-GC verification detected violations.
@@ -74,7 +76,7 @@ struct CliOptions {
   uint64_t HeapDumpEvery = 0;
   bool Monitor = false;
   std::string MonitorOutPath;
-  /// 0 means "not given" (the default of 50 is applied in runTfgc);
+  /// 0 means "not given" (the monitor's default of 50 applies);
   /// giving it without --monitor-out is a usage error.
   uint64_t MonitorPeriodMs = 0;
   uint64_t MonitorSampleSteps = 512;
@@ -88,8 +90,8 @@ struct CliOptions {
   std::string MetricsOutPath;
   /// Binary flight recording (support/FlightRecorder.h); empty = off.
   std::string FlightOutPath;
-  /// 0 means "not given" (the default of 64 KiB per ring is applied in
-  /// runTfgc); giving it without --flight-out is a usage error.
+  /// 0 means "not given" (the Session's default of 64 KiB per ring
+  /// applies); giving it without --flight-out is a usage error.
   uint64_t FlightBufferKb = 0;
   std::string HeapSnapshotPath;
   std::string TraceOutPath;
@@ -100,15 +102,17 @@ struct CliOptions {
 };
 
 /// Parses \p Args (argv[1..]) into \p O. Returns false with \p Err set on
-/// a bad flag/missing source; sets \p HelpOnly when --help was given (the
-/// caller prints usageText() and exits 0). File operands are read here.
+/// a bad flag, a malformed or out-of-range number, or a missing source;
+/// sets \p HelpOnly when --help was given (the caller prints usageText()
+/// and exits 0). File operands are read here.
 bool parseCli(const std::vector<std::string> &Args, CliOptions &O,
               std::string &Err, bool &HelpOnly);
 
-/// Compiles and runs per \p O; writes program output to stdout and
-/// diagnostics to stderr. All requested diagnostic artifacts (trace,
-/// stats JSON, heap snapshot) are flushed *before* the exit code is
-/// decided, so a failing run still leaves them on disk.
+/// Compiles \p O.Source and runs it through a Session; writes program
+/// output to stdout and diagnostics to stderr. Every requested artifact
+/// is attempted *before* the exit code is decided, so a failing run — a
+/// verify violation, a runtime error, or another artifact that could not
+/// be written — still leaves the rest on disk.
 int runTfgc(const CliOptions &O);
 
 } // namespace tfgc

@@ -132,40 +132,13 @@ CompiledProgram::makeCollector(GcStrategy Strategy, GcAlgorithm Algo,
 }
 
 VmOptions tfgc::defaultVmOptions(GcStrategy Strategy, bool GcStress) {
+  // Frame zeroing is the collector's call (scansUninitializedSlots), made
+  // when the VM is built, so nothing here depends on the strategy; the
+  // parameter stays for the callers that pass it.
+  (void)Strategy;
   VmOptions O;
   O.GcStress = GcStress;
-  // Tagged scanning and Appel's per-procedure descriptors look at every
-  // slot, initialized or not, so frames must be zeroed (paper 1.1.1).
-  O.ZeroFrames =
-      Strategy == GcStrategy::Tagged || Strategy == GcStrategy::AppelTagFree;
   return O;
-}
-
-void tfgc::attachHeapProfiler(const CompiledProgram &P, GcStrategy Strategy,
-                              Collector &Col, HeapProfiler &Prof) {
-  Prof.setEnabled(true);
-  std::vector<AllocSiteDesc> Sites;
-  Sites.reserve(P.Image.allocSites().size());
-  for (const AllocSiteDebug &D : P.Image.allocSites())
-    Sites.push_back({D.Func, D.Line, D.Col, D.TypeStr});
-  Prof.setSites(std::move(Sites));
-  std::vector<std::string> Names;
-  Names.reserve(P.Prog.Functions.size());
-  for (const IrFunction &F : P.Prog.Functions)
-    Names.push_back(F.Name);
-  Prof.setFunctionNames(std::move(Names));
-  Prof.setTaggedHeaders(Strategy == GcStrategy::Tagged);
-  Col.setHeapProfiler(&Prof);
-}
-
-void tfgc::attachMonitor(const CompiledProgram &P, Collector &Col,
-                         Monitor &Mon) {
-  std::vector<std::string> Names;
-  Names.reserve(P.Prog.Functions.size());
-  for (const IrFunction &F : P.Prog.Functions)
-    Names.push_back(F.Name);
-  Mon.setFunctionNames(std::move(Names));
-  Col.setMonitor(&Mon);
 }
 
 ExecResult tfgc::execProgram(const std::string &Source, GcStrategy Strategy,

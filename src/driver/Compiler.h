@@ -16,6 +16,10 @@
 /// needs none; compiled/interpreted/Appel each get their own tables), so
 /// experiments run the same program under all of them.
 ///
+/// That bare run attaches nothing. driver/Session.h assembles a complete
+/// run — collector, runtime, and every observability attachment — from
+/// one CliOptions, the way tfgc does.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TFGC_DRIVER_COMPILER_H
@@ -89,23 +93,10 @@ struct CompiledProgram {
                                            size_t NurseryBytes = 0);
 };
 
-/// VM options appropriate for \p Strategy (frame zeroing where required).
+/// VM options for a run under \p Strategy: GC stress as given, everything
+/// else at its default. Frame zeroing needs no option: the VM turns it on
+/// for collectors that scan uninitialized slots.
 VmOptions defaultVmOptions(GcStrategy Strategy, bool GcStress = false);
-
-/// Enables \p Prof and wires it to \p Col: installs the program's
-/// allocation-site debug table (from the code image) and function names,
-/// sets the tagged-header convention for \p Strategy, and registers the
-/// profiler with the collector. \p Prof must outlive \p Col's use; call
-/// before constructing the Vm so every allocation is attributed.
-void attachHeapProfiler(const CompiledProgram &P, GcStrategy Strategy,
-                        Collector &Col, HeapProfiler &Prof);
-
-/// Wires the mutator monitor to \p Col: installs the program's function
-/// names for profile attribution and registers the monitor with the
-/// collector (which adopts it as the telemetry event sink). \p Mon must
-/// outlive \p Col's use; call before constructing the Vm — the VM arms
-/// its sample-point fuel at construction.
-void attachMonitor(const CompiledProgram &P, Collector &Col, Monitor &Mon);
 
 class Compiler {
 public:

@@ -27,7 +27,6 @@ void ThreadedRuntime::spawnInt(FuncId Entry,
   T.TaskTlab = std::make_unique<Tlab>();
   T.Label = "mutator-" + std::to_string(Tasks.size());
   VmOptions VO;
-  VO.ZeroFrames = Opts.ZeroFrames;
   VO.MaxSteps = Opts.MaxTotalSteps;
   VO.Checks = Opts.Policy;
   VO.Coord = this;

@@ -20,7 +20,6 @@ TaskingRuntime::TaskingRuntime(const IrProgram &Prog, const CodeImage &Img,
 
 void TaskingRuntime::spawnInt(FuncId Entry, const std::vector<int64_t> &Args) {
   VmOptions VO;
-  VO.ZeroFrames = Opts.ZeroFrames;
   VO.Checks = Opts.Policy;
   VO.Coord = this;
   VO.TaskIndex = (uint32_t)Tasks.size();

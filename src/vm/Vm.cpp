@@ -14,7 +14,7 @@ Vm::Vm(const IrProgram &Prog, const CodeImage &Img, TypeContext &Types,
        Collector &Col, VmOptions Opts)
     : Prog(Prog), Img(Img), Types(Types), Col(Col), Opts(Opts),
       Model(Col.model()) {
-  if (Model == ValueModel::Tagged)
+  if (Col.scansUninitializedSlots())
     this->Opts.ZeroFrames = true;
   GenBarriers = Col.algorithm() == GcAlgorithm::Generational;
   Shard = &Col.stats().shardForTask(this->Opts.TaskIndex);

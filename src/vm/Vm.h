@@ -81,7 +81,8 @@ public:
 struct VmOptions {
   /// Collect at every allocation (testing).
   bool GcStress = false;
-  /// Zero frame slots at function entry (forced on for tagged/Appel).
+  /// Zero frame slots at function entry (forced on when the collector
+  /// scans uninitialized slots: tagged and Appel).
   bool ZeroFrames = false;
   /// Execution fuse.
   uint64_t MaxSteps = 2'000'000'000ull;

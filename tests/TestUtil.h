@@ -4,6 +4,7 @@
 #define TFGC_TESTS_TESTUTIL_H
 
 #include "driver/Compiler.h"
+#include "driver/Session.h"
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "ir/Lower.h"
@@ -13,6 +14,10 @@
 
 #include <cctype>
 #include <cstring>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <sstream>
 
 namespace tfgc::test {
 
@@ -51,6 +56,102 @@ inline Compiled compile(const std::string &Source, CompileOptions O = {}) {
   Compiler Comp(O);
   C.P = Comp.compile(Source, &C.Error);
   return C;
+}
+
+/// A scratch file path unique to the running test (its suite and name
+/// prefix \p Name), so parallel test processes never share one.
+inline std::string tmpPath(const std::string &Name) {
+  const ::testing::TestInfo *T =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "tfgc_" + T->test_suite_name() + "_" +
+         T->name() + "_" + Name;
+}
+
+/// The whole file at \p Path; empty when it does not exist.
+inline std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream OS;
+  OS << In.rdbuf();
+  return OS.str();
+}
+
+/// parseCli() that fails the test on a usage error.
+inline bool parseOk(const std::vector<std::string> &Args, CliOptions &O) {
+  std::string Err;
+  bool HelpOnly = false;
+  bool Ok = parseCli(Args, O, Err, HelpOnly);
+  EXPECT_TRUE(Ok) << Err;
+  EXPECT_FALSE(HelpOnly);
+  return Ok;
+}
+
+/// Every counter but the wall-clock derived ones (names with "_ns"): what
+/// must match bit for bit between runs that do the same work.
+inline std::map<std::string, uint64_t> deterministicCounters(const Stats &St) {
+  std::map<std::string, uint64_t> Out;
+  for (const auto &[Name, Value] : St.all())
+    if (Name.find("_ns") == std::string::npos)
+      Out[Name] = Value;
+  return Out;
+}
+
+/// CliOptions for a run under \p S and \p A on a \p HeapBytes heap, every
+/// other option at tfgc's default.
+inline CliOptions sessionOptions(GcStrategy S,
+                                 GcAlgorithm A = GcAlgorithm::Copying,
+                                 size_t HeapBytes = 1 << 14,
+                                 size_t NurseryBytes = 0) {
+  CliOptions O;
+  O.Strategy = S;
+  O.Algo = A;
+  O.HeapBytes = HeapBytes;
+  O.NurseryBytes = NurseryBytes;
+  return O;
+}
+
+/// A run assembled by driver/Session, the way tfgc assembles it.
+struct SessionRun {
+  std::unique_ptr<CompiledProgram> P;
+  std::unique_ptr<Session> S; ///< Null when compile or open failed.
+  RunResult R;
+  explicit operator bool() const { return S != nullptr; }
+  Stats &stats() { return S->stats(); }
+};
+
+/// Compiles \p Source as \p O needs it and opens a Session over it,
+/// failing the test when either step fails.
+inline SessionRun openSession(const std::string &Source,
+                              const CliOptions &O) {
+  SessionRun Run;
+  Compiled C = compile(Source, sessionCompileOptions(O));
+  EXPECT_TRUE(C.P) << C.Error;
+  if (!C.P)
+    return Run;
+  Run.P = std::move(C.P);
+  Run.S = std::make_unique<Session>(*Run.P, O);
+  int Rc = Run.S->open();
+  EXPECT_EQ(Rc, 0) << "session failed to open under "
+                   << gcStrategyName(O.Strategy);
+  if (Rc != 0)
+    Run.S.reset();
+  return Run;
+}
+
+/// openSession, then \p BeforeRun (to add a sink), run() and finish(),
+/// failing the test on a runtime error or an unwritten artifact.
+inline SessionRun
+runSession(const std::string &Source, const CliOptions &O,
+           const std::function<void(Session &)> &BeforeRun = nullptr) {
+  SessionRun Run = openSession(Source, O);
+  if (!Run)
+    return Run;
+  if (BeforeRun)
+    BeforeRun(*Run.S);
+  Run.R = Run.S->run();
+  EXPECT_TRUE(Run.R.Ok) << Run.R.Error << " under "
+                        << gcStrategyName(O.Strategy);
+  EXPECT_TRUE(Run.S->finish());
+  return Run;
 }
 
 /// Runs a program under one strategy and returns its rendered value,

@@ -13,34 +13,12 @@
 #include "workloads/Programs.h"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 using namespace tfgc;
 using namespace tfgc::test;
 namespace wl = tfgc::workloads;
 
 namespace {
-
-bool parseOk(const std::vector<std::string> &Args, CliOptions &O) {
-  std::string Err;
-  bool HelpOnly = false;
-  bool Ok = parseCli(Args, O, Err, HelpOnly);
-  EXPECT_TRUE(Ok) << Err;
-  EXPECT_FALSE(HelpOnly);
-  return Ok;
-}
-
-std::string tmpPath(const char *Name) {
-  return ::testing::TempDir() + "tfgc_cli_test_" + Name;
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path);
-  std::ostringstream OS;
-  OS << In.rdbuf();
-  return OS.str();
-}
 
 TEST(Cli, EveryParsedFlagIsDocumented) {
   // The parser walks cliFlags() and the usage text is rendered from it,
@@ -211,6 +189,79 @@ TEST(Cli, VerifyViolationExitsThreeAndStillFlushesArtifacts) {
   std::remove(Trace.c_str());
   std::remove(StatsJson.c_str());
   std::remove(Snap.c_str());
+}
+
+TEST(Cli, UnwritableArtifactStillWritesTheOthers) {
+  // One artifact that cannot be opened must not cost the others: every
+  // artifact is attempted, the program's value is still printed, and
+  // only then does the run exit 2.
+  std::string StatsJson = tmpPath("flush_stats.json");
+  std::string Snap = tmpPath("flush_snap.json");
+  std::remove(StatsJson.c_str());
+  std::remove(Snap.c_str());
+
+  CliOptions O;
+  ASSERT_TRUE(parseOk({"--stress", "--heap=16384",
+                       "--metrics-out=" + tmpPath("no_such_dir/m.prom"),
+                       "--stats-json=" + StatsJson, "--heap-snapshot=" + Snap,
+                       "-e", wl::listChurn(20, 3)},
+                      O));
+  EXPECT_EQ(runTfgc(O), 2);
+
+  std::string StatsDoc = slurp(StatsJson);
+  EXPECT_TRUE(validJson(StatsDoc)) << StatsJson;
+  EXPECT_NE(StatsDoc.find("gc.collections"), std::string::npos) << StatsJson;
+  std::string SnapDoc = slurp(Snap);
+  EXPECT_TRUE(validJson(SnapDoc)) << Snap;
+  EXPECT_NE(SnapDoc.find("\"valid\": true"), std::string::npos) << Snap;
+  std::remove(StatsJson.c_str());
+  std::remove(Snap.c_str());
+}
+
+TEST(Cli, MalformedNumbersAreUsageErrors) {
+  // Every numeric flag takes digits only, in range: a suffix, a sign, a
+  // radix prefix or an overflow is a usage error naming the flag (exit 2
+  // in tools/tfgc.cpp), never a silently truncated value. Each row is
+  // otherwise valid, companion flags included.
+  const std::string Out = tmpPath("unused");
+  const std::vector<std::vector<std::string>> Rows = {
+      {"--heap=64k"},
+      {"--heap=18446744073709551616"},
+      {"--nursery-bytes=1e3"},
+      {"--retainers=-1"},
+      {"--monitor-period-ms=5ms", "--monitor-out=" + Out},
+      {"--monitor-sample-steps=abc"},
+      {"--serve=abc"},
+      {"--serve-linger-ms=+5", "--serve=0"},
+      {"--flight-buffer-kb=0x10", "--flight-out=" + Out},
+      {"--threads=2.0"},
+      {"--heap-dump-every=", "--heap-dump=" + Out},
+  };
+  for (const std::vector<std::string> &Row : Rows) {
+    std::vector<std::string> Args = Row;
+    Args.insert(Args.end(), {"-e", "1"});
+    CliOptions O;
+    std::string Err;
+    bool HelpOnly = false;
+    EXPECT_FALSE(parseCli(Args, O, Err, HelpOnly)) << Row[0];
+    std::string Flag = Row[0].substr(0, Row[0].find('='));
+    EXPECT_EQ(Err.rfind(Flag + ":", 0), 0u) << Row[0] << " -> " << Err;
+  }
+
+  // Values accepted before keep their meaning.
+  CliOptions O;
+  ASSERT_TRUE(parseOk({"--heap=0", "--nursery-bytes=4096", "--retainers=0",
+                       "--monitor-sample-steps=0", "--serve=65535",
+                       "--serve-linger-ms=0", "-e", "1"},
+                      O));
+  EXPECT_EQ(O.HeapBytes, 0u);
+  EXPECT_EQ(O.NurseryBytes, 4096u);
+  EXPECT_TRUE(O.HeapProfile);
+  EXPECT_EQ(O.MonitorSampleSteps, 0u);
+  EXPECT_EQ(O.ServePort, 65535);
+  CliOptions O2;
+  ASSERT_TRUE(parseOk({"--threads=256", "-e", "1"}, O2));
+  EXPECT_EQ(O2.Threads, 256u);
 }
 
 TEST(Cli, MonitorFlagsParseAndImplyMonitor) {

@@ -44,47 +44,33 @@ struct ModeRun {
   std::string Value;
   std::string Output;
   std::string Error;
-  DispatchMode Used = DispatchMode::Switch;
   /// Deterministic counters only: wall-clock keys (*_ns*) are dropped,
   /// everything else must match bit-for-bit across dispatch modes.
   std::map<std::string, uint64_t> Counters;
 };
 
-std::map<std::string, uint64_t> deterministicCounters(const Stats &St) {
-  std::map<std::string, uint64_t> Out;
-  for (const auto &[Name, Value] : St.all())
-    if (Name.find("_ns") == std::string::npos)
-      Out[Name] = Value;
-  return Out;
-}
-
 ModeRun runMode(CompiledProgram &P, GcStrategy S, GcAlgorithm A,
                 size_t HeapBytes, DispatchMode D, bool Fuse, bool SelfTag,
                 bool Verify = true, bool TailCalls = true,
                 bool Stress = false) {
+  CliOptions O = sessionOptions(S, A, HeapBytes);
+  O.Dispatch = D;
+  O.Fuse = Fuse;
+  O.FloatSelfTag = SelfTag;
+  O.Verify = Verify;
+  O.TailCalls = TailCalls;
+  O.Stress = Stress;
   ModeRun R;
-  Stats St;
-  std::string Err;
-  auto Col = P.makeCollector(S, A, HeapBytes, St, &Err);
-  if (!Col) {
-    R.Error = Err;
+  Session Sn(P, O);
+  R.CollectorOk = Sn.open() == 0;
+  if (!R.CollectorOk)
     return R;
-  }
-  R.CollectorOk = true;
-  Col->setVerifyAfterGc(Verify);
-  VmOptions VO = defaultVmOptions(S, Stress);
-  VO.Dispatch = D;
-  VO.FuseSuperinstructions = Fuse;
-  VO.FloatSelfTag = SelfTag;
-  VO.TailCalls = TailCalls;
-  Vm M(P.Prog, P.Image, *P.Types, *Col, VO);
-  R.Used = M.dispatchMode();
-  RunResult Run = M.run();
+  RunResult Run = Sn.run();
   R.Ok = Run.Ok;
   R.Value = Run.Value;
   R.Output = Run.Output;
   R.Error = Run.Error;
-  R.Counters = deterministicCounters(St);
+  R.Counters = deterministicCounters(Sn.stats());
   return R;
 }
 
@@ -108,15 +94,20 @@ void expectSameCounters(const ModeRun &A, const ModeRun &B,
 TEST(Dispatch, AutoResolvesToCompiledInLoop) {
   auto C = compile("1 + 2");
   ASSERT_TRUE(C.P) << C.Error;
-  ModeRun R = runMode(*C.P, GcStrategy::CompiledTagFree, GcAlgorithm::Copying,
-                      1 << 16, DispatchMode::Auto, true, true);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Used, Vm::threadedDispatchAvailable() ? DispatchMode::Threaded
-                                                    : DispatchMode::Switch);
+  Stats St;
+  auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, 1 << 16, St);
+  ASSERT_TRUE(Col);
+  VmOptions VO;
+  Vm Auto(C.P->Prog, C.P->Image, *C.P->Types, *Col, VO);
+  EXPECT_EQ(Auto.dispatchMode(), Vm::threadedDispatchAvailable()
+                                     ? DispatchMode::Threaded
+                                     : DispatchMode::Switch);
+  EXPECT_TRUE(Auto.run().Ok);
   // An explicit --dispatch=switch always takes the portable loop.
-  ModeRun Sw = runMode(*C.P, GcStrategy::CompiledTagFree, GcAlgorithm::Copying,
-                       1 << 16, DispatchMode::Switch, true, true);
-  EXPECT_EQ(Sw.Used, DispatchMode::Switch);
+  VO.Dispatch = DispatchMode::Switch;
+  Vm Sw(C.P->Prog, C.P->Image, *C.P->Types, *Col, VO);
+  EXPECT_EQ(Sw.dispatchMode(), DispatchMode::Switch);
 }
 
 TEST(Dispatch, CountersBitIdenticalSwitchVsThreadedEverywhere) {
@@ -222,20 +213,18 @@ TEST(Dispatch, MonitorSamplesIdenticalAcrossModes) {
   uint64_t Samples[3];
   uint64_t ByClass[3][NumOpClasses];
   for (int I = 0; I < 3; ++I) {
-    Stats St;
-    std::string Err;
-    auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
-                                  GcAlgorithm::Copying, 1 << 16, St, &Err);
-    ASSERT_TRUE(Col) << Err;
-    Monitor Mon(Monitor::Options{64, 50});
-    attachMonitor(*C.P, *Col, Mon);
-    VmOptions VO = defaultVmOptions(GcStrategy::CompiledTagFree, false);
-    VO.Dispatch = Cfgs[I].D;
-    VO.FuseSuperinstructions = Cfgs[I].Fuse;
-    Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col, VO);
-    RunResult R = M.run();
-    ASSERT_TRUE(R.Ok) << R.Error;
-    EXPECT_EQ(Mon.samples(), M.steps() / 64) << "config " << I;
+    CliOptions O = sessionOptions(GcStrategy::CompiledTagFree,
+                                  GcAlgorithm::Copying, 1 << 16);
+    O.Monitor = true;
+    O.MonitorSampleSteps = 64;
+    O.Dispatch = Cfgs[I].D;
+    O.Fuse = Cfgs[I].Fuse;
+    Session Sn(*C.P, O);
+    ASSERT_EQ(Sn.open(), 0);
+    ASSERT_TRUE(Sn.run().Ok);
+    const Monitor &Mon = Sn.monitor();
+    EXPECT_EQ(Mon.samples(), Sn.stats().get(StatId::VmSteps) / 64)
+        << "config " << I;
     Samples[I] = Mon.samples();
     for (size_t K = 0; K < NumOpClasses; ++K)
       ByClass[I][K] = Mon.opClassSamples((OpClass)K);
@@ -444,30 +433,24 @@ TEST(SafepointPoll, TaskingCountersIdenticalSwitchVsThreaded) {
   // steps — must agree between the loops. (Fusion stays ON in both: a
   // fused window is atomic w.r.t. slices in both loops; only the
   // fused-vs-unfused comparison is excluded under tasking.)
-  CompileOptions CO;
-  CO.TaskingSafe = true;
   auto RunTasking = [&](DispatchMode D) {
-    Compiler Comp(CO);
-    std::string Err;
-    auto P = Comp.compile(wl::taskWorkerAndSpinner(), &Err);
-    EXPECT_TRUE(P) << Err;
-    Stats St;
-    auto Col = P->makeCollector(GcStrategy::CompiledTagFree,
-                                GcAlgorithm::Copying, 1 << 12, St, &Err);
-    EXPECT_TRUE(Col) << Err;
-    TaskingOptions TO;
-    TO.Policy = SuspendChecks::AtEveryCall;
-    TO.Dispatch = D;
-    TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-    FuncId Worker = findFunction(P->Prog, "worker");
-    FuncId Spinner = findFunction(P->Prog, "spinner");
+    CliOptions O = sessionOptions(GcStrategy::CompiledTagFree,
+                                  GcAlgorithm::Copying, 1 << 12);
+    O.Threads = 1;
+    O.Dispatch = D;
+    SessionRun Run = openSession(wl::taskWorkerAndSpinner(), O);
+    CompiledProgram &P = *Run.P;
+    TaskingRuntime Rt(P.Prog, P.Image, *P.Types, Run.S->collector(),
+                      Run.S->taskingOptions());
+    FuncId Worker = findFunction(P.Prog, "worker");
+    FuncId Spinner = findFunction(P.Prog, "spinner");
     Rt.spawnInt(Worker, {1, 40});
     Rt.spawnInt(Spinner, {40, 2000});
     EXPECT_TRUE(Rt.runAll());
     std::vector<std::string> Values;
     for (const TaskResult &R : Rt.results())
       Values.push_back(R.Value);
-    return std::make_pair(Values, deterministicCounters(St));
+    return std::make_pair(Values, deterministicCounters(Run.stats()));
   };
   auto Sw = RunTasking(DispatchMode::Switch);
   auto Th = RunTasking(DispatchMode::Threaded);

@@ -42,28 +42,15 @@ val g = mk 7;
 f 10 + g 9 + len (build 200)
 )";
 
-/// Runs \p Source under Generational with after-GC graph verification on,
-/// returning the rendered value; \p St receives the run's counters.
-std::string runGenerationalVerified(const std::string &Source, GcStrategy S,
-                                    size_t HeapBytes, size_t NurseryBytes,
-                                    bool Stress, Stats &St) {
-  Compiled C = compile(Source);
-  EXPECT_TRUE(C.P) << C.Error;
-  if (!C.P)
-    return "";
-  std::string Err;
-  std::unique_ptr<Collector> Col =
-      C.P->makeCollector(S, GcAlgorithm::Generational, HeapBytes, St, &Err,
-                         NurseryBytes);
-  EXPECT_TRUE(Col) << Err;
-  if (!Col)
-    return "";
-  Col->setVerifyAfterGc(true);
-  Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
-       defaultVmOptions(S, Stress));
-  RunResult R = M.run();
-  EXPECT_TRUE(R.Ok) << R.Error << " under " << gcStrategyName(S);
-  return R.Value;
+/// Runs \p Source under Generational with after-GC graph verification on.
+SessionRun runGenerationalVerified(const std::string &Source, GcStrategy S,
+                                   size_t HeapBytes, size_t NurseryBytes,
+                                   bool Stress) {
+  CliOptions O =
+      sessionOptions(S, GcAlgorithm::Generational, HeapBytes, NurseryBytes);
+  O.Verify = true;
+  O.Stress = Stress;
+  return runSession(Source, O);
 }
 
 TEST(Generational, MutationWorkloadsAgreeAcrossStrategiesAndAlgorithms) {
@@ -98,11 +85,12 @@ TEST(Generational, OldToYoungRefsSurviveMinorsUnderVerify) {
   // keeps alive. The verify pass retraces the full graph after every
   // collection and counts escaped references.
   for (GcStrategy S : AllStrategies) {
-    Stats St;
-    std::string V = runGenerationalVerified(workloads::refCells(400), S,
-                                            1 << 15, 1 << 12,
-                                            /*Stress=*/true, St);
-    EXPECT_FALSE(V.empty());
+    SessionRun R = runGenerationalVerified(workloads::refCells(400), S,
+                                           1 << 15, 1 << 12,
+                                           /*Stress=*/true);
+    ASSERT_TRUE(R);
+    const Stats &St = R.stats();
+    EXPECT_FALSE(R.R.Value.empty());
     EXPECT_GT(St.get(StatId::GcVerifyPasses), 0u);
     EXPECT_EQ(St.get(StatId::GcVerifyViolations), 0u)
         << "under " << gcStrategyName(S);
@@ -114,9 +102,11 @@ TEST(Generational, OldToYoungRefsSurviveMinorsUnderVerify) {
 TEST(Generational, ClosureCyclePatchSurvivesMinorCollections) {
   std::string Expected;
   for (GcStrategy S : AllStrategies) {
-    Stats St;
-    std::string V = runGenerationalVerified(CycleProgram, S, 1 << 14,
-                                            1 << 11, /*Stress=*/true, St);
+    SessionRun R = runGenerationalVerified(CycleProgram, S, 1 << 14, 1 << 11,
+                                           /*Stress=*/true);
+    ASSERT_TRUE(R);
+    const Stats &St = R.stats();
+    const std::string &V = R.R.Value;
     EXPECT_EQ(St.get(StatId::GcVerifyViolations), 0u);
     EXPECT_GT(St.get(StatId::GcMinorCollections), 0u);
     if (Expected.empty())
@@ -172,18 +162,12 @@ TEST(Generational, MinorAndMajorCollectionsBothHappen) {
   // binary_trees keeps a live tree per depth while churning temporaries:
   // small nursery ⇒ many minors; promotions eventually fill tenured ⇒
   // majors. Stats and telemetry must agree on the per-kind counts.
-  Compiled C = compile(workloads::binaryTrees(7, 6));
-  ASSERT_TRUE(C.P) << C.Error;
-  Stats St;
-  std::string Err;
-  std::unique_ptr<Collector> Col = C.P->makeCollector(
-      GcStrategy::CompiledTagFree, GcAlgorithm::Generational, 1 << 14, St,
-      &Err, 1 << 10);
-  ASSERT_TRUE(Col) << Err;
-  Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
-       defaultVmOptions(GcStrategy::CompiledTagFree));
-  RunResult R = M.run();
-  ASSERT_TRUE(R.Ok) << R.Error;
+  SessionRun R = runSession(
+      workloads::binaryTrees(7, 6),
+      sessionOptions(GcStrategy::CompiledTagFree, GcAlgorithm::Generational,
+                     1 << 14, 1 << 10));
+  ASSERT_TRUE(R);
+  const Stats &St = R.stats();
 
   uint64_t Minors = St.get(StatId::GcMinorCollections);
   uint64_t Majors = St.get(StatId::GcMajorCollections);
@@ -191,7 +175,7 @@ TEST(Generational, MinorAndMajorCollectionsBothHappen) {
   EXPECT_GT(Majors, 0u);
   EXPECT_EQ(Minors + Majors, St.get(StatId::GcCollections));
 
-  const Telemetry &Tel = Col->telemetry();
+  const Telemetry &Tel = R.S->collector().telemetry();
   EXPECT_EQ(Minors, Tel.collections(GcEventKind::Minor));
   EXPECT_EQ(Majors, Tel.collections(GcEventKind::Major));
   EXPECT_EQ(0u, Tel.collections(GcEventKind::Full));

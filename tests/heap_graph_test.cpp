@@ -43,49 +43,39 @@ serve 400 0 + sum (!cache)
 )";
 
 struct GraphRun {
-  Stats St;
-  std::unique_ptr<CompiledProgram> P;
-  std::unique_ptr<Collector> Col;
-  HeapProfiler Prof;
-  HeapGraph Graph;
+  SessionRun Run;
   std::vector<std::string> SinkChunks;
+  HeapProfiler &prof() { return Run.S->profiler(); }
+  HeapGraph &graph() { return Run.S->graph(); }
+  Stats &stats() { return Run.stats(); }
 };
 
-/// Runs \p Source with the profiler and (optionally) a sink-backed heap
-/// graph attached, by default under stress so collections are frequent.
+/// Runs \p Source with the profiler attached as --heap-profile attaches
+/// it and (optionally) a sink on its heap graph, gated by
+/// --heap-dump-every=\p Every, by default under stress so collections are
+/// frequent.
 std::unique_ptr<GraphRun>
 runGraphed(const std::string &Source, GcStrategy S, GcAlgorithm A,
            size_t HeapBytes = 1 << 14, bool Verify = false,
-           bool AttachGraph = true, uint64_t Every = 1,
+           bool WithSink = true, uint64_t Every = 1,
            size_t NurseryBytes = 0, bool Stress = true,
            unsigned Retainers = 0) {
+  CliOptions O = sessionOptions(S, A, HeapBytes, NurseryBytes);
+  O.Stress = Stress;
+  O.Verify = Verify;
+  O.HeapProfile = true;
+  O.Retainers = Retainers;
+  O.HeapDumpEvery = Every;
   auto R = std::make_unique<GraphRun>();
-  Compiled C = compile(Source);
-  EXPECT_TRUE(C.P) << C.Error;
-  if (!C.P)
-    return nullptr;
-  R->P = std::move(C.P);
-  std::string Error;
-  R->Col =
-      R->P->makeCollector(S, A, HeapBytes, R->St, &Error, NurseryBytes);
-  EXPECT_TRUE(R->Col) << Error;
-  if (!R->Col)
-    return nullptr;
-  R->Col->setVerifyAfterGc(Verify);
-  attachHeapProfiler(*R->P, S, *R->Col, R->Prof);
-  if (AttachGraph) {
+  R->Run = runSession(Source, O, [&](Session &Sn) {
     // Sink-only destination: no file needed, chunks land in SinkChunks.
-    GraphRun *RP = R.get();
-    R->Graph.setChunkSink(
-        [RP](const std::string &Chunk) { RP->SinkChunks.push_back(Chunk); });
-    R->Graph.setEvery(Every);
-    R->Prof.setHeapGraph(&R->Graph);
-    R->Prof.setRetainers(Retainers);
-  }
-  Vm M(R->P->Prog, R->P->Image, *R->P->Types, *R->Col,
-       defaultVmOptions(S, /*GcStress=*/Stress));
-  RunResult Run = M.run();
-  EXPECT_TRUE(Run.Ok) << Run.Error << " under " << gcStrategyName(S);
+    if (WithSink)
+      Sn.graph().setChunkSink([RP = R.get()](const std::string &Chunk) {
+        RP->SinkChunks.push_back(Chunk);
+      });
+  });
+  if (!R->Run)
+    return nullptr;
   return R;
 }
 
@@ -154,14 +144,14 @@ TEST(HeapGraph, GraphInvariantsEveryStrategyAndAlgorithmUnderVerify) {
       std::string Label = std::string(gcStrategyName(S)) + "/" +
                           gcAlgorithmName(A);
       auto R = runGraphed(LeakySrc, S, A, 1 << 14, /*Verify=*/true,
-                          /*AttachGraph=*/true, /*Every=*/1,
+                          /*WithSink=*/true, /*Every=*/1,
                           A == GcAlgorithm::Generational ? 1 << 12 : 0);
       ASSERT_TRUE(R) << Label;
-      EXPECT_EQ(R->St.get(StatId::GcVerifyViolations), 0u) << Label;
-      ASSERT_GT(R->Graph.chunksWritten(), 0u) << Label;
-      EXPECT_EQ(R->Graph.chunksWritten(), R->SinkChunks.size()) << Label;
+      EXPECT_EQ(R->stats().get(StatId::GcVerifyViolations), 0u) << Label;
+      ASSERT_GT(R->graph().chunksWritten(), 0u) << Label;
+      EXPECT_EQ(R->graph().chunksWritten(), R->SinkChunks.size()) << Label;
 
-      const HeapGraph::CaptureInfo &Cap = R->Graph.lastCapture();
+      const HeapGraph::CaptureInfo &Cap = R->graph().lastCapture();
       ASSERT_TRUE(Cap.Valid) << Label;
       EXPECT_NE(Cap.Kind, GcEventKind::Minor) << Label;
       ASSERT_GT(Cap.Nodes, 0u) << Label;
@@ -186,7 +176,7 @@ TEST(HeapGraph, GraphInvariantsEveryStrategyAndAlgorithmUnderVerify) {
       // Full-heap algorithms: the last collection is the last capture,
       // so the graph-derived census must equal the snapshot's census.
       if (A != GcAlgorithm::Generational) {
-        const HeapProfiler::Snapshot &Snap = R->Prof.snapshot();
+        const HeapProfiler::Snapshot &Snap = R->prof().snapshot();
         ASSERT_TRUE(Snap.Valid) << Label;
         EXPECT_EQ(Cap.Nodes, Snap.Objects) << Label;
         for (size_t I = 0; I < NumCensusKinds; ++I) {
@@ -212,10 +202,10 @@ TEST(HeapGraph, AgeHistogramTotalsMatchObjectsUnderVerify) {
       std::string Label = std::string(gcStrategyName(S)) + "/" +
                           gcAlgorithmName(A);
       auto R = runGraphed(LeakySrc, S, A, 1 << 14, /*Verify=*/true,
-                          /*AttachGraph=*/false, /*Every=*/1,
+                          /*WithSink=*/false, /*Every=*/1,
                           A == GcAlgorithm::Generational ? 1 << 12 : 0);
       ASSERT_TRUE(R) << Label;
-      const HeapProfiler::Snapshot &Snap = R->Prof.snapshot();
+      const HeapProfiler::Snapshot &Snap = R->prof().snapshot();
       ASSERT_TRUE(Snap.Valid) << Label;
       EXPECT_EQ(Snap.AgeObservations, Snap.Objects) << Label;
       uint64_t HistSum = 0;
@@ -232,7 +222,7 @@ TEST(HeapGraph, AgeHistogramTotalsMatchObjectsUnderVerify) {
       // death-age histogram has mass above age 0 regardless of what the
       // final snapshot happened to see.
       uint64_t AgedDeaths = 0;
-      for (const HeapProfiler::SiteLifetime &L : R->Prof.lifetimes())
+      for (const HeapProfiler::SiteLifetime &L : R->prof().lifetimes())
         for (size_t B = 1; B < L.DeathHist.size(); ++B)
           AgedDeaths += L.DeathHist[B];
       EXPECT_GT(AgedDeaths, 0u) << Label;
@@ -248,17 +238,17 @@ TEST(HeapGraph, SurvivalCurvesMonotoneEveryStrategyAndAlgorithm) {
       std::string Label = std::string(gcStrategyName(S)) + "/" +
                           gcAlgorithmName(A);
       auto R = runGraphed(LeakySrc, S, A, 1 << 14, /*Verify=*/true,
-                          /*AttachGraph=*/false, /*Every=*/1,
+                          /*WithSink=*/false, /*Every=*/1,
                           A == GcAlgorithm::Generational ? 1 << 12 : 0);
       ASSERT_TRUE(R) << Label;
       bool AnySurvivor = false;
-      for (uint32_t I = 0; I <= R->Prof.numSites(); ++I) {
-        const HeapProfiler::SiteLifetime &L = R->Prof.lifetime(I);
+      for (uint32_t I = 0; I <= R->prof().numSites(); ++I) {
+        const HeapProfiler::SiteLifetime &L = R->prof().lifetime(I);
         for (size_t K = 1; K < L.Survived.size(); ++K)
           EXPECT_LE(L.Survived[K], L.Survived[K - 1])
               << Label << " site " << I;
-        if (I < R->Prof.numSites())
-          EXPECT_LE(L.Survived[0], R->Prof.allocCount(I))
+        if (I < R->prof().numSites())
+          EXPECT_LE(L.Survived[0], R->prof().allocCount(I))
               << Label << " site " << I;
         AnySurvivor = AnySurvivor || L.Survived[0] > 0;
       }
@@ -273,12 +263,12 @@ TEST(HeapGraph, PromotionAttributionSumsToPromotedWords) {
   // counter, for every type-reconstruction strategy.
   for (GcStrategy S : AllStrategies) {
     auto R = runGraphed(LeakySrc, S, GcAlgorithm::Generational, 1 << 14,
-                        /*Verify=*/true, /*AttachGraph=*/false,
+                        /*Verify=*/true, /*WithSink=*/false,
                         /*Every=*/1, /*NurseryBytes=*/1 << 12);
     ASSERT_TRUE(R) << gcStrategyName(S);
-    EXPECT_GT(R->St.get(StatId::GcPromotedWords), 0u) << gcStrategyName(S);
-    EXPECT_EQ(R->Prof.promotedWordsAttributed(),
-              R->St.get(StatId::GcPromotedWords))
+    EXPECT_GT(R->stats().get(StatId::GcPromotedWords), 0u) << gcStrategyName(S);
+    EXPECT_EQ(R->prof().promotedWordsAttributed(),
+              R->stats().get(StatId::GcPromotedWords))
         << gcStrategyName(S);
   }
 }
@@ -288,15 +278,15 @@ TEST(HeapGraph, DeathAccountingBalancesAllocations) {
   // (in some collection) or is still alive (survived or never visited).
   auto R = runGraphed(LeakySrc, GcStrategy::CompiledTagFree,
                       GcAlgorithm::Copying, 1 << 14, /*Verify=*/true,
-                      /*AttachGraph=*/false);
+                      /*WithSink=*/false);
   ASSERT_TRUE(R);
   uint64_t Deaths = 0;
-  for (const HeapProfiler::SiteLifetime &L : R->Prof.lifetimes())
+  for (const HeapProfiler::SiteLifetime &L : R->prof().lifetimes())
     Deaths += L.Deaths;
   EXPECT_GT(Deaths, 0u); // scratch lists die young
-  EXPECT_LE(Deaths, R->Prof.allocTotal());
-  for (uint32_t I = 0; I < R->Prof.numSites(); ++I)
-    EXPECT_LE(R->Prof.lifetime(I).Deaths, R->Prof.allocCount(I))
+  EXPECT_LE(Deaths, R->prof().allocTotal());
+  for (uint32_t I = 0; I < R->prof().numSites(); ++I)
+    EXPECT_LE(R->prof().lifetime(I).Deaths, R->prof().allocCount(I))
         << "site " << I;
 }
 
@@ -308,15 +298,15 @@ TEST(HeapGraph, LeakSuspectRankedFirstByRetainedGrowth) {
   // noise; natural collections bracket many memo conses per capture.
   auto R = runGraphed(LeakySrc, GcStrategy::CompiledTagFree,
                       GcAlgorithm::Copying, 1 << 13, /*Verify=*/false,
-                      /*AttachGraph=*/true, /*Every=*/1,
+                      /*WithSink=*/true, /*Every=*/1,
                       /*NurseryBytes=*/0, /*Stress=*/false);
   ASSERT_TRUE(R);
-  ASSERT_GT(R->Graph.chunksWritten(), 1u); // deltas need two captures
-  std::vector<SiteRetainedRow> Ranked = R->Graph.rankedDeltas();
+  ASSERT_GT(R->graph().chunksWritten(), 1u); // deltas need two captures
+  std::vector<SiteRetainedRow> Ranked = R->graph().rankedDeltas();
   ASSERT_FALSE(Ranked.empty());
   EXPECT_GT(Ranked.front().GrowthBytes, 0);
-  ASSERT_LT(Ranked.front().Site, R->Prof.numSites());
-  EXPECT_EQ(R->Prof.site(Ranked.front().Site).Func, "memo");
+  ASSERT_LT(Ranked.front().Site, R->prof().numSites());
+  EXPECT_EQ(R->prof().site(Ranked.front().Site).Func, "memo");
 }
 
 TEST(HeapGraph, MinorCollectionsAreNotCaptured) {
@@ -324,30 +314,30 @@ TEST(HeapGraph, MinorCollectionsAreNotCaptured) {
   // dangle into tenured space, so minors never produce chunks.
   auto R = runGraphed(LeakySrc, GcStrategy::CompiledTagFree,
                       GcAlgorithm::Generational, 1 << 14,
-                      /*Verify=*/false, /*AttachGraph=*/true,
+                      /*Verify=*/false, /*WithSink=*/true,
                       /*Every=*/1, /*NurseryBytes=*/1 << 12);
   ASSERT_TRUE(R);
-  EXPECT_GT(R->St.get(StatId::GcMinorCollections), 0u);
-  ASSERT_GT(R->Graph.chunksWritten(), 0u);
-  EXPECT_EQ(R->Graph.lastCapture().Kind, GcEventKind::Major);
-  EXPECT_LE(R->Graph.chunksWritten(),
-            R->St.get(StatId::GcMajorCollections));
+  EXPECT_GT(R->stats().get(StatId::GcMinorCollections), 0u);
+  ASSERT_GT(R->graph().chunksWritten(), 0u);
+  EXPECT_EQ(R->graph().lastCapture().Kind, GcEventKind::Major);
+  EXPECT_LE(R->graph().chunksWritten(),
+            R->stats().get(StatId::GcMajorCollections));
 }
 
 TEST(HeapGraph, EveryNGateThinsCaptures) {
   auto All = runGraphed(LeakySrc, GcStrategy::CompiledTagFree,
                         GcAlgorithm::Copying, 1 << 14, /*Verify=*/false,
-                        /*AttachGraph=*/true, /*Every=*/1);
+                        /*WithSink=*/true, /*Every=*/1);
   auto Thinned = runGraphed(LeakySrc, GcStrategy::CompiledTagFree,
                             GcAlgorithm::Copying, 1 << 14,
-                            /*Verify=*/false, /*AttachGraph=*/true,
+                            /*Verify=*/false, /*WithSink=*/true,
                             /*Every=*/4);
   ASSERT_TRUE(All);
   ASSERT_TRUE(Thinned);
-  ASSERT_GT(All->Graph.chunksWritten(), 4u);
-  EXPECT_LE(Thinned->Graph.chunksWritten(),
-            All->Graph.chunksWritten() / 4 + 1);
-  EXPECT_GT(Thinned->Graph.chunksWritten(), 0u);
+  ASSERT_GT(All->graph().chunksWritten(), 4u);
+  EXPECT_LE(Thinned->graph().chunksWritten(),
+            All->graph().chunksWritten() / 4 + 1);
+  EXPECT_GT(Thinned->graph().chunksWritten(), 0u);
 }
 
 TEST(HeapGraph, DumpIsIndependentOfRetainers) {
@@ -363,14 +353,14 @@ TEST(HeapGraph, DumpIsIndependentOfRetainers) {
       size_t Nursery = A == GcAlgorithm::Generational ? 1 << 12 : 0;
       auto Plain = runGraphed(LeakySrc, GcStrategy::CompiledTagFree, A,
                               1 << 14, /*Verify=*/false,
-                              /*AttachGraph=*/true, Every, Nursery);
+                              /*WithSink=*/true, Every, Nursery);
       auto Retain = runGraphed(LeakySrc, GcStrategy::CompiledTagFree, A,
                                1 << 14, /*Verify=*/false,
-                               /*AttachGraph=*/true, Every, Nursery,
+                               /*WithSink=*/true, Every, Nursery,
                                /*Stress=*/true, /*Retainers=*/5);
       ASSERT_TRUE(Plain && Retain) << Label;
-      EXPECT_TRUE(Retain->Prof.snapshot().RetainersComputed ||
-                  Retain->Prof.snapshot().Kind == GcEventKind::Minor)
+      EXPECT_TRUE(Retain->prof().snapshot().RetainersComputed ||
+                  Retain->prof().snapshot().Kind == GcEventKind::Minor)
           << Label;
       ASSERT_FALSE(Plain->SinkChunks.empty()) << Label;
       ASSERT_EQ(Plain->SinkChunks.size(), Retain->SinkChunks.size())
@@ -390,8 +380,8 @@ TEST(HeapGraph, DetachedGraphIsInert) {
   EXPECT_FALSE(G.active());
   auto R = runGraphed(LeakySrc, GcStrategy::CompiledTagFree,
                       GcAlgorithm::Copying, 1 << 14, /*Verify=*/false,
-                      /*AttachGraph=*/false);
+                      /*WithSink=*/false);
   ASSERT_TRUE(R);
-  EXPECT_EQ(R->Graph.chunksWritten(), 0u);
-  EXPECT_FALSE(R->Graph.lastCapture().Valid);
+  EXPECT_EQ(R->graph().chunksWritten(), 0u);
+  EXPECT_FALSE(R->graph().lastCapture().Valid);
 }

@@ -25,47 +25,22 @@ namespace wl = tfgc::workloads;
 
 namespace {
 
-struct ProfiledRun {
-  Stats St;
-  std::unique_ptr<CompiledProgram> P;
-  std::unique_ptr<Collector> Col;
-  HeapGraph Graph;
-  HeapProfiler Prof;
-};
-
-/// Runs \p Source with the profiler and a destination-less heap graph
-/// attached (and optionally post-GC verification and retainers) under
-/// stress so collections are frequent. \p BeforeRun sees the wired-up
-/// run just before the program starts.
-std::unique_ptr<ProfiledRun>
+/// Runs \p Source with the profiler attached as --heap-profile attaches
+/// it (its heap graph without a destination), optionally with post-GC
+/// verification and retainers, under stress so collections are frequent.
+/// \p BeforeRun sees the opened session just before the program starts.
+SessionRun
 runProfiled(const std::string &Source, GcStrategy S,
             GcAlgorithm A = GcAlgorithm::Copying, size_t HeapBytes = 1 << 14,
             bool Verify = false, unsigned Retainers = 0,
             size_t NurseryBytes = 0,
-            const std::function<void(ProfiledRun &)> &BeforeRun = nullptr) {
-  auto R = std::make_unique<ProfiledRun>();
-  Compiled C = compile(Source);
-  EXPECT_TRUE(C.P) << C.Error;
-  if (!C.P)
-    return nullptr;
-  R->P = std::move(C.P);
-  std::string Error;
-  R->Col =
-      R->P->makeCollector(S, A, HeapBytes, R->St, &Error, NurseryBytes);
-  EXPECT_TRUE(R->Col) << Error;
-  if (!R->Col)
-    return nullptr;
-  R->Col->setVerifyAfterGc(Verify);
-  attachHeapProfiler(*R->P, S, *R->Col, R->Prof);
-  R->Prof.setHeapGraph(&R->Graph);
-  R->Prof.setRetainers(Retainers);
-  if (BeforeRun)
-    BeforeRun(*R);
-  Vm M(R->P->Prog, R->P->Image, *R->P->Types, *R->Col,
-       defaultVmOptions(S, /*GcStress=*/true));
-  RunResult Run = M.run();
-  EXPECT_TRUE(Run.Ok) << Run.Error << " under " << gcStrategyName(S);
-  return R;
+            const std::function<void(Session &)> &BeforeRun = nullptr) {
+  CliOptions O = sessionOptions(S, A, HeapBytes, NurseryBytes);
+  O.Stress = true;
+  O.Verify = Verify;
+  O.HeapProfile = true;
+  O.Retainers = Retainers;
+  return runSession(Source, O, BeforeRun);
 }
 
 uint64_t siteObjects(const HeapProfiler::Snapshot &Snap) {
@@ -110,9 +85,9 @@ TEST(HeapProfile, SnapshotInvariantEveryStrategyAndAlgorithmUnderVerify) {
                       /*Verify=*/true, /*Retainers=*/0,
                       A == GcAlgorithm::Generational ? 1 << 12 : 0);
       ASSERT_TRUE(R) << Label;
-      EXPECT_EQ(R->St.get(StatId::GcVerifyViolations), 0u) << Label;
-      EXPECT_GT(R->St.get(StatId::GcCollections), 0u) << Label;
-      expectSnapshotInvariant(R->Prof, Label.c_str());
+      EXPECT_EQ(R.stats().get(StatId::GcVerifyViolations), 0u) << Label;
+      EXPECT_GT(R.stats().get(StatId::GcCollections), 0u) << Label;
+      expectSnapshotInvariant(R.S->profiler(), Label.c_str());
     }
 }
 
@@ -122,8 +97,8 @@ TEST(HeapProfile, VisitTotalsMatchGcCounters) {
   for (GcStrategy S : AllStrategies) {
     auto R = runProfiled(wl::listChurn(30, 10), S);
     ASSERT_TRUE(R);
-    EXPECT_EQ(R->Prof.visitObjectsTotal(),
-              R->St.get(StatId::GcObjectsVisited))
+    EXPECT_EQ(R.S->profiler().visitObjectsTotal(),
+              R.stats().get(StatId::GcObjectsVisited))
         << gcStrategyName(S);
   }
 }
@@ -135,9 +110,9 @@ TEST(HeapProfile, VerifyPassIsExcludedFromProfile) {
   auto R = runProfiled(wl::listChurn(30, 10), GcStrategy::CompiledTagFree,
                        GcAlgorithm::Copying, 1 << 14, /*Verify=*/true);
   ASSERT_TRUE(R);
-  EXPECT_LT(R->Prof.visitObjectsTotal(),
-            R->St.get(StatId::GcObjectsVisited));
-  expectSnapshotInvariant(R->Prof, "verify-paused");
+  EXPECT_LT(R.S->profiler().visitObjectsTotal(),
+            R.stats().get(StatId::GcObjectsVisited));
+  expectSnapshotInvariant(R.S->profiler(), "verify-paused");
 }
 
 TEST(HeapProfile, SiteAttributionSurvivesPromotion) {
@@ -151,18 +126,18 @@ TEST(HeapProfile, SiteAttributionSurvivesPromotion) {
                        /*Verify=*/true, /*Retainers=*/0,
                        /*NurseryBytes=*/1 << 12);
   ASSERT_TRUE(R);
-  expectSnapshotInvariant(R->Prof, "generational");
-  const HeapProfiler::Snapshot &Snap = R->Prof.snapshot();
+  expectSnapshotInvariant(R.S->profiler(), "generational");
+  const HeapProfiler::Snapshot &Snap = R.S->profiler().snapshot();
   EXPECT_TRUE(Snap.HasGenSplit);
   EXPECT_EQ(Snap.Nursery.Objects + Snap.Tenured.Objects, Snap.Objects);
   EXPECT_EQ(Snap.Nursery.Words + Snap.Tenured.Words, Snap.Words);
   // The same invariant held for the tagged model's generational heap in
   // the all-combinations test; here additionally check attribution depth:
   // allocation counts were recorded for at least one real site.
-  EXPECT_GT(R->Prof.allocTotal(), 0u);
+  EXPECT_GT(R.S->profiler().allocTotal(), 0u);
   bool AnySite = false;
-  for (uint32_t I = 0; I < R->Prof.numSites(); ++I)
-    AnySite = AnySite || R->Prof.allocCount(I) > 0;
+  for (uint32_t I = 0; I < R.S->profiler().numSites(); ++I)
+    AnySite = AnySite || R.S->profiler().allocCount(I) > 0;
   EXPECT_TRUE(AnySite);
 }
 
@@ -218,15 +193,15 @@ TEST(HeapProfile, RetentionReportsDominators) {
       auto Run = runProfiled(
           wl::generationalChurn(Gen ? 600 : 100, 10, 30), S, A, 1 << 14,
           /*Verify=*/true, /*Retainers=*/5, Gen ? 1 << 12 : 0,
-          [&Check](ProfiledRun &PR) {
-            Check.Prof = &PR.Prof;
-            PR.Col->telemetry().setEventSink(&Check);
+          [&Check](Session &Sn) {
+            Check.Prof = &Sn.profiler();
+            Sn.collector().telemetry().setEventSink(&Check);
           });
       ASSERT_TRUE(Run) << Label;
-      EXPECT_EQ(Run->St.get(StatId::GcVerifyViolations), 0u) << Label;
+      EXPECT_EQ(Run.stats().get(StatId::GcVerifyViolations), 0u) << Label;
       EXPECT_GT(Check.FullChecked, 0u) << Label;
       if (Gen) {
-        EXPECT_GT(Run->St.get(StatId::GcMajorCollections), 0u) << Label;
+        EXPECT_GT(Run.stats().get(StatId::GcMajorCollections), 0u) << Label;
         EXPECT_GT(Check.MajorChecked, 0u) << Label;
       }
     }
@@ -242,7 +217,7 @@ TEST(HeapProfile, MinorCollectionsSkipRetention) {
                        /*Verify=*/false, /*Retainers=*/5,
                        /*NurseryBytes=*/1 << 12);
   ASSERT_TRUE(R);
-  const HeapProfiler::Snapshot &Snap = R->Prof.snapshot();
+  const HeapProfiler::Snapshot &Snap = R.S->profiler().snapshot();
   ASSERT_TRUE(Snap.Valid);
   if (Snap.Kind == GcEventKind::Minor)
     EXPECT_FALSE(Snap.RetainersComputed);
@@ -309,9 +284,9 @@ TEST(HeapProfile, SnapshotJsonContainsSchemaAndTallies) {
                        GcAlgorithm::Copying, 1 << 14, /*Verify=*/false,
                        /*Retainers=*/3);
   ASSERT_TRUE(R);
-  R->Prof.setLabel("test/copying");
+  R.S->profiler().setLabel("test/copying");
   std::ostringstream OS;
-  R->Prof.writeSnapshotJson(OS);
+  R.S->profiler().writeSnapshotJson(OS);
   std::string J = OS.str();
   EXPECT_NE(J.find("\"schema\": 1"), std::string::npos);
   EXPECT_NE(J.find("\"tool\": \"tfgc-heap-profile\""), std::string::npos);
@@ -330,7 +305,7 @@ TEST(HeapProfile, SnapshotJsonContainsSchemaAndTallies) {
 }
 
 TEST(HeapProfile, DisabledProfilerIsInert) {
-  // Without attachHeapProfiler the collector's hook pointer is null and a
+  // Without --heap-profile the collector's hook pointer is null and a
   // default-constructed profiler records nothing.
   HeapProfiler Prof;
   Prof.recordAlloc(0, 0x1000);

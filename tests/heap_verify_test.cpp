@@ -18,20 +18,13 @@ namespace {
 
 void runVerified(const std::string &Source, GcStrategy S, GcAlgorithm A,
                  size_t HeapBytes) {
-  Compiler C;
-  std::string Err;
-  auto P = C.compile(Source, &Err);
-  ASSERT_TRUE(P) << Err;
-  Stats St;
-  auto Col = P->makeCollector(S, A, HeapBytes, St, &Err);
-  ASSERT_TRUE(Col) << Err;
-  Col->setVerifyAfterGc(true);
-  Vm M(P->Prog, P->Image, *P->Types, *Col,
-       defaultVmOptions(S, /*GcStress=*/true));
-  RunResult R = M.run();
-  ASSERT_TRUE(R.Ok) << gcStrategyName(S) << ": " << R.Error;
-  EXPECT_GT(St.get("gc.verify_passes"), 0u);
-  EXPECT_EQ(St.get("gc.verify_violations"), 0u) << gcStrategyName(S);
+  CliOptions O = sessionOptions(S, A, HeapBytes);
+  O.Verify = true;
+  O.Stress = true;
+  SessionRun R = runSession(Source, O);
+  ASSERT_TRUE(R) << gcStrategyName(S);
+  EXPECT_GT(R.stats().get("gc.verify_passes"), 0u);
+  EXPECT_EQ(R.stats().get("gc.verify_violations"), 0u) << gcStrategyName(S);
 }
 
 TEST(HeapVerify, ListChurnAllStrategies) {

@@ -15,7 +15,6 @@
 #include "workloads/Programs.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 using namespace tfgc;
@@ -118,58 +117,46 @@ TEST(Monitor, SyntheticEventsFeedMmu) {
 // Real runs: sample/step invariant, coverage invariant, stream schema
 //===----------------------------------------------------------------------===//
 
-struct MonitoredRun {
-  Stats St;
-  std::unique_ptr<CompiledProgram> P;
-  std::unique_ptr<Collector> Col;
-  RunResult R;
-};
-
-void runMonitored(const std::string &Source, GcStrategy S, GcAlgorithm A,
-                  Monitor &Mon, MonitoredRun &Out,
-                  size_t HeapBytes = 1 << 15) {
-  Compiled C = compile(Source);
-  ASSERT_TRUE(C.P) << C.Error;
-  Out.P = std::move(C.P);
-  std::string Err;
-  Out.Col = Out.P->makeCollector(S, A, HeapBytes, Out.St, &Err);
-  ASSERT_TRUE(Out.Col) << Err;
-  attachMonitor(*Out.P, *Out.Col, Mon);
-  Vm M(Out.P->Prog, Out.P->Image, *Out.P->Types, *Out.Col,
-       defaultVmOptions(S));
-  Out.R = M.run();
-  ASSERT_TRUE(Out.R.Ok) << Out.R.Error;
+/// Runs \p Source with the monitor attached as --monitor attaches it,
+/// sampling every \p SampleSteps VM steps; \p BeforeRun may add a stream.
+SessionRun
+runMonitored(const std::string &Source, GcStrategy S, GcAlgorithm A,
+             uint64_t SampleSteps, size_t HeapBytes = 1 << 15,
+             uint64_t PeriodMs = 0,
+             const std::function<void(Session &)> &BeforeRun = nullptr) {
+  CliOptions O = sessionOptions(S, A, HeapBytes);
+  O.Monitor = true;
+  O.MonitorSampleSteps = SampleSteps;
+  O.MonitorPeriodMs = PeriodMs;
+  return runSession(Source, O, BeforeRun);
 }
 
 TEST(Monitor, SampleCountMatchesStepsAllStrategiesAndAlgorithms) {
   const std::string Src = wl::listChurn(60, 12);
   for (GcStrategy S : AllStrategies) {
     for (GcAlgorithm A : AllAlgorithms) {
-      Monitor::Options O;
-      O.SamplePeriodSteps = 64;
-      Monitor Mon(O);
-      MonitoredRun Run;
-      runMonitored(Src, S, A, Mon, Run);
-      uint64_t Steps = Run.St.get(StatId::VmSteps);
+      SessionRun Run = runMonitored(Src, S, A, 64);
+      ASSERT_TRUE(Run);
+      Monitor &Mon = Run.S->monitor();
+      uint64_t Steps = Run.stats().get(StatId::VmSteps);
       ASSERT_GT(Steps, 64u);
       // The fuel countdown takes exactly one sample per period.
       EXPECT_EQ(Mon.samples(), Steps / 64)
           << gcStrategyName(S) << "/" << gcAlgorithmName(A);
       EXPECT_EQ(Mon.stepsObserved(), Steps);
       // Published stats mirror the monitor.
-      EXPECT_EQ(Run.St.get("mon.samples"), Mon.samples());
-      EXPECT_EQ(Run.St.get("mon.sample_period_steps"), 64u);
+      EXPECT_EQ(Run.stats().get("mon.samples"), Mon.samples());
+      EXPECT_EQ(Run.stats().get("mon.sample_period_steps"), 64u);
     }
   }
 }
 
 TEST(Monitor, SamplesAttributeToFunctionsAndOpClasses) {
-  Monitor::Options O;
-  O.SamplePeriodSteps = 16;
-  Monitor Mon(O);
-  MonitoredRun Run;
-  runMonitored(wl::listChurn(60, 12), GcStrategy::CompiledTagFree,
-               GcAlgorithm::Copying, Mon, Run);
+  SessionRun Run = runMonitored(wl::listChurn(60, 12),
+                                GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, 16);
+  ASSERT_TRUE(Run);
+  Monitor &Mon = Run.S->monitor();
   ASSERT_GT(Mon.samples(), 0u);
   uint64_t Flat = 0;
   for (uint32_t F = 0; F < 64; ++F)
@@ -183,11 +170,13 @@ TEST(Monitor, SamplesAttributeToFunctionsAndOpClasses) {
 
 TEST(Monitor, MutatorPlusGcCoversWallClock) {
   for (GcAlgorithm A : AllAlgorithms) {
-    Monitor Mon;
-    MonitoredRun Run;
-    runMonitored(wl::listChurn(80, 16), GcStrategy::CompiledTagFree, A, Mon,
-                 Run, 1 << 14);
-    ASSERT_GT(Run.St.get(StatId::GcCollections), 0u) << gcAlgorithmName(A);
+    SessionRun Run = runMonitored(wl::listChurn(80, 16),
+                                  GcStrategy::CompiledTagFree, A, 512,
+                                  1 << 14);
+    ASSERT_TRUE(Run);
+    Monitor &Mon = Run.S->monitor();
+    ASSERT_GT(Run.stats().get(StatId::GcCollections), 0u)
+        << gcAlgorithmName(A);
     uint64_t Wall = Mon.wallNs();
     ASSERT_GT(Wall, 0u);
     double Coverage = (double)(Mon.mutatorNs() + Mon.gcNs()) / (double)Wall;
@@ -205,16 +194,13 @@ TEST(Monitor, MutatorPlusGcCoversWallClock) {
 }
 
 TEST(Monitor, StreamIsSchemaValidJsonl) {
-  Monitor::Options O;
-  O.SamplePeriodSteps = 32;
-  O.HeartbeatPeriodMs = 1;
-  Monitor Mon(O);
   std::ostringstream Stream;
-  Mon.setStream(&Stream);
-  MonitoredRun Run;
-  runMonitored(wl::listChurn(100, 20), GcStrategy::CompiledTagFree,
-               GcAlgorithm::Generational, Mon, Run, 1 << 14);
-  Mon.finish();
+  SessionRun Run = runMonitored(
+      wl::listChurn(100, 20), GcStrategy::CompiledTagFree,
+      GcAlgorithm::Generational, 32, 1 << 14, /*PeriodMs=*/1,
+      [&Stream](Session &Sn) { Sn.monitor().setStream(&Stream); });
+  ASSERT_TRUE(Run); // finish() wrote the summary.
+  Monitor &Mon = Run.S->monitor();
 
   std::istringstream In(Stream.str());
   std::string Line;
@@ -247,17 +233,6 @@ TEST(Monitor, StreamIsSchemaValidJsonl) {
 // CLI integration: abnormal-exit flush, usage errors
 //===----------------------------------------------------------------------===//
 
-std::string tmpPath(const char *Name) {
-  return ::testing::TempDir() + "tfgc_monitor_test_" + Name;
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path);
-  std::ostringstream OS;
-  OS << In.rdbuf();
-  return OS.str();
-}
-
 TEST(Monitor, VerifyViolationStillFlushesSummary) {
   // The PR 4 guarantee extended to the monitor stream: a run that exits 3
   // (verify violations) must still end the JSONL stream with a complete
@@ -265,14 +240,11 @@ TEST(Monitor, VerifyViolationStillFlushesSummary) {
   std::string Out = tmpPath("abnormal.jsonl");
   std::remove(Out.c_str());
   CliOptions O;
-  std::string Err;
-  bool HelpOnly = false;
-  ASSERT_TRUE(parseCli({"--stress", "--heap=16384", "--verify",
-                        "--inject-verify-violation", "--monitor-out=" + Out,
-                        "--monitor-sample-steps=32", "-e",
-                        wl::listChurn(20, 3)},
-                       O, Err, HelpOnly))
-      << Err;
+  ASSERT_TRUE(parseOk({"--stress", "--heap=16384", "--verify",
+                       "--inject-verify-violation", "--monitor-out=" + Out,
+                       "--monitor-sample-steps=32", "-e",
+                       wl::listChurn(20, 3)},
+                      O));
   EXPECT_EQ(runTfgc(O), 3);
   std::string Doc = slurp(Out);
   EXPECT_NE(Doc.find("\"type\": \"header\""), std::string::npos) << Out;
@@ -292,16 +264,12 @@ TEST(Monitor, PeriodWithoutOutIsUsageError) {
 
 TEST(Monitor, MonitorFlagsImplyMonitor) {
   CliOptions O;
-  std::string Err;
-  bool HelpOnly = false;
-  ASSERT_TRUE(parseCli({"--monitor-out=/tmp/m.jsonl", "-e", "1"}, O, Err,
-                       HelpOnly));
+  ASSERT_TRUE(parseOk({"--monitor-out=/tmp/m.jsonl", "-e", "1"}, O));
   EXPECT_TRUE(O.Monitor);
   EXPECT_EQ(O.MonitorOutPath, "/tmp/m.jsonl");
 
   CliOptions O2;
-  ASSERT_TRUE(parseCli({"--monitor-sample-steps=128", "-e", "1"}, O2, Err,
-                       HelpOnly));
+  ASSERT_TRUE(parseOk({"--monitor-sample-steps=128", "-e", "1"}, O2));
   EXPECT_TRUE(O2.Monitor);
   EXPECT_EQ(O2.MonitorSampleSteps, 128u);
 }

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -36,17 +35,6 @@ using namespace tfgc::test;
 namespace wl = tfgc::workloads;
 
 namespace {
-
-std::string tmpPath(const char *Name) {
-  return ::testing::TempDir() + "tfgc_observe_test_" + Name;
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path);
-  std::ostringstream OS;
-  OS << In.rdbuf();
-  return OS.str();
-}
 
 //===----------------------------------------------------------------------===//
 // StatsShard fold math
@@ -149,18 +137,12 @@ TEST(StatsGuardDeathTest, DynamicWriteOutsideSafepointAborts) {
 TEST(ObserveFold, FoldedTotalsMatchManualRefoldAllStrategiesAllAlgorithms) {
   for (GcStrategy S : AllStrategies) {
     for (GcAlgorithm A : AllAlgorithms) {
-      Compiled C = compile(wl::listChurn(30, 6));
-      ASSERT_TRUE(C.P) << C.Error;
-      Stats St;
-      std::string Err;
-      auto Col = C.P->makeCollector(S, A, 1 << 15, St, &Err);
-      ASSERT_TRUE(Col) << Err << " under " << gcStrategyName(S);
-      Col->setVerifyAfterGc(true);
-      Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
-           defaultVmOptions(S, /*GcStress=*/true));
-      RunResult R = M.run();
-      ASSERT_TRUE(R.Ok) << R.Error << " under " << gcStrategyName(S);
-      M.flushCounters();
+      CliOptions O = sessionOptions(S, A, 1 << 15);
+      O.Stress = true;
+      O.Verify = true;
+      SessionRun Run = runSession(wl::listChurn(30, 6), O);
+      ASSERT_TRUE(Run) << gcStrategyName(S);
+      Stats &St = Run.stats();
       EXPECT_EQ(St.get(StatId::GcVerifyViolations), 0u);
 
       // Recompute every fixed counter from the raw shards with the fold
@@ -220,30 +202,27 @@ TEST(ObserveFold, SequentialRunCountersAreDeterministicAcrossRuns) {
 //===----------------------------------------------------------------------===//
 
 TEST(ObserveEpoch, ConsistentAcrossTaskSwitches) {
-  CompileOptions CO;
-  CO.TaskingSafe = true;
-  Compiler C(CO);
-  std::string Err;
-  auto P = C.compile(wl::taskWorker(), &Err);
-  ASSERT_TRUE(P) << Err;
-  Stats St;
-  auto Col = P->makeCollector(GcStrategy::CompiledTagFree,
-                              GcAlgorithm::Copying, 1 << 13, St, &Err);
-  ASSERT_TRUE(Col) << Err;
-  EpochAggregator Agg;
-  Agg.attachStats(&St);
-  Col->setEpochAggregator(&Agg);
-
-  TaskingOptions TO;
-  TO.Policy = SuspendChecks::AtEveryCall;
+  // --metrics-out attaches the epoch aggregator: one epoch per collection.
+  std::string Metrics = tmpPath("switches.prom");
+  CliOptions O = sessionOptions(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, 1 << 13);
+  O.Threads = 1;
+  O.MetricsOutPath = Metrics;
+  SessionRun Run = openSession(wl::taskWorker(), O);
+  ASSERT_TRUE(Run);
+  CompiledProgram &P = *Run.P;
+  TaskingOptions TO = Run.S->taskingOptions();
   TO.TimeSliceSteps = 64; // frequent switches between tasks
-  TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-  FuncId Worker = findFunction(P->Prog, "worker");
+  TaskingRuntime Rt(P.Prog, P.Image, *P.Types, Run.S->collector(), TO);
+  FuncId Worker = findFunction(P.Prog, "worker");
   ASSERT_NE(Worker, InvalidFunc);
   for (int64_t Seed = 1; Seed <= 3; ++Seed)
     Rt.spawnInt(Worker, {Seed, 30});
   ASSERT_TRUE(Rt.runAll());
-  Agg.fold(SafepointKind::RunEnd);
+  ASSERT_TRUE(Run.S->finish());
+  std::remove(Metrics.c_str());
+  EpochAggregator &Agg = Run.S->epochs();
+  Stats &St = Run.stats();
 
   // Collections happened (small heap) and each produced an epoch.
   ASSERT_GE(Agg.epochCount(), 2u);
@@ -442,14 +421,6 @@ TEST(IntrospectServer, RebindsAfterStop) {
 // CLI integration: --metrics-out equals --stats-json; abnormal exit
 // still flushes a coherent final epoch (satellite 3); flag validation.
 //===----------------------------------------------------------------------===//
-
-bool parseOk(const std::vector<std::string> &Args, CliOptions &O) {
-  std::string Err;
-  bool HelpOnly = false;
-  bool Ok = parseCli(Args, O, Err, HelpOnly);
-  EXPECT_TRUE(Ok) << Err;
-  return Ok;
-}
 
 /// Extracts `"name": N` from the stats JSON counters map.
 uint64_t jsonCounter(const std::string &Doc, const std::string &Name) {

@@ -10,32 +10,22 @@ namespace wl = tfgc::workloads;
 
 namespace {
 
-struct World {
-  std::unique_ptr<CompiledProgram> P;
-  Stats St;
-  std::unique_ptr<Collector> Col;
+struct World : SessionRun {
   std::unique_ptr<TaskingRuntime> Rt;
 };
 
+/// A cooperative-scheduler run (--threads=1, so compiled tasking-safe)
+/// whose tasks the test spawns itself under suspension policy \p Policy.
 World makeWorld(const std::string &Source, GcStrategy S, SuspendChecks Policy,
                 size_t HeapBytes = 1 << 13,
                 GcAlgorithm Algo = GcAlgorithm::Copying) {
-  World W;
-  // Tasking needs gc_words at every call site and call-argument tracing
-  // (see DESIGN.md).
-  CompileOptions O;
-  O.TaskingSafe = true;
-  Compiler C(O);
-  std::string Err;
-  W.P = C.compile(Source, &Err);
-  EXPECT_TRUE(W.P != nullptr) << Err;
-  W.Col = W.P->makeCollector(S, Algo, HeapBytes, W.St, &Err);
-  EXPECT_TRUE(W.Col != nullptr) << Err;
-  TaskingOptions TO;
+  CliOptions O = sessionOptions(S, Algo, HeapBytes);
+  O.Threads = 1;
+  World W{openSession(Source, O), nullptr};
+  TaskingOptions TO = W.S->taskingOptions();
   TO.Policy = Policy;
-  TO.ZeroFrames = S == GcStrategy::Tagged || S == GcStrategy::AppelTagFree;
   W.Rt = std::make_unique<TaskingRuntime>(W.P->Prog, W.P->Image, *W.P->Types,
-                                          *W.Col, TO);
+                                          W.S->collector(), TO);
   return W;
 }
 
@@ -83,7 +73,7 @@ TEST(Tasking, ManyTasksAllPoliciesAllStrategies) {
       for (size_t I = 0; I < 4; ++I)
         EXPECT_EQ(W.Rt->results()[I].Value, Expected[I])
             << gcStrategyName(S) << " policy " << (int)Policy;
-      EXPECT_GT(W.St.get("task.world_stops"), 0u) << gcStrategyName(S);
+      EXPECT_GT(W.stats().get("task.world_stops"), 0u) << gcStrategyName(S);
     }
   }
 }
@@ -95,8 +85,9 @@ TEST(Tasking, WorldStopsRequireAllTasksSuspended) {
   for (int64_t Seed = 1; Seed <= 3; ++Seed)
     W.Rt->spawnInt(Worker, {Seed, 30});
   ASSERT_TRUE(W.Rt->runAll());
-  EXPECT_GT(W.St.get("task.gc_requests"), 0u);
-  EXPECT_GE(W.St.get("task.world_stops"), W.St.get("task.gc_requests"));
+  EXPECT_GT(W.stats().get("task.gc_requests"), 0u);
+  EXPECT_GE(W.stats().get("task.world_stops"),
+            W.stats().get("task.gc_requests"));
 }
 
 TEST(Tasking, EveryCallPolicyExecutesMoreChecksThanAllocationOnly) {
@@ -110,7 +101,7 @@ TEST(Tasking, EveryCallPolicyExecutesMoreChecksThanAllocationOnly) {
     W.Rt->spawnInt(Worker, {1, 30});
     W.Rt->spawnInt(Worker, {2, 30});
     ASSERT_TRUE(W.Rt->runAll());
-    Checks[I] = W.St.get("task.suspend_checks");
+    Checks[I] = W.stats().get("task.suspend_checks");
   }
   EXPECT_GT(Checks[1], Checks[0]);
 }
@@ -127,7 +118,7 @@ TEST(Tasking, RgcPolicyHasAllocationOnlyCheckCost) {
     W.Rt->spawnInt(Worker, {1, 30});
     W.Rt->spawnInt(Worker, {2, 30});
     ASSERT_TRUE(W.Rt->runAll());
-    RgcChecks = W.St.get("task.suspend_checks");
+    RgcChecks = W.stats().get("task.suspend_checks");
   }
   {
     World W = makeWorld(wl::taskWorker(), GcStrategy::CompiledTagFree,
@@ -136,7 +127,7 @@ TEST(Tasking, RgcPolicyHasAllocationOnlyCheckCost) {
     W.Rt->spawnInt(Worker, {1, 30});
     W.Rt->spawnInt(Worker, {2, 30});
     ASSERT_TRUE(W.Rt->runAll());
-    AllocChecks = W.St.get("task.suspend_checks");
+    AllocChecks = W.stats().get("task.suspend_checks");
   }
   // Same workload, same suspension checks charged.
   EXPECT_NEAR((double)RgcChecks, (double)AllocChecks,
@@ -155,7 +146,7 @@ TEST(Tasking, SpinnerDelaysWorldStopUnderAllocationOnly) {
     W.Rt->spawnInt(Worker, {1, 40});
     W.Rt->spawnInt(Spinner, {40, 3000});
     EXPECT_TRUE(W.Rt->runAll());
-    return W.St.get("task.steps_to_world_stop_max");
+    return W.stats().get("task.steps_to_world_stop_max");
   };
   uint64_t AllocOnly = Run(SuspendChecks::AtAllocation);
   uint64_t EveryCall = Run(SuspendChecks::AtEveryCall);
@@ -170,7 +161,7 @@ TEST(Tasking, MarkSweepSharedHeap) {
   for (int64_t Seed = 1; Seed <= 3; ++Seed)
     W.Rt->spawnInt(Worker, {Seed, 30});
   ASSERT_TRUE(W.Rt->runAll());
-  EXPECT_GT(W.St.get("task.world_stops"), 0u);
+  EXPECT_GT(W.stats().get("task.world_stops"), 0u);
 
   World Ref = makeWorld(wl::taskWorker(), GcStrategy::CompiledTagFree,
                         SuspendChecks::AtEveryCall, 1 << 20);
@@ -189,7 +180,7 @@ TEST(Tasking, AppelStrategyZeroFramesUnderTasking) {
   W.Rt->spawnInt(Worker, {1, 25});
   W.Rt->spawnInt(Worker, {2, 25});
   ASSERT_TRUE(W.Rt->runAll());
-  EXPECT_GT(W.St.get("vm.frame_words_zeroed"), 0u);
+  EXPECT_GT(W.stats().get("vm.frame_words_zeroed"), 0u);
 }
 
 TEST(Tasking, TaskFailurePropagates) {
@@ -231,22 +222,22 @@ TEST(Tasking, PerTaskStepAndStopDelayStats) {
   for (int64_t Seed = 1; Seed <= 3; ++Seed)
     W.Rt->spawnInt(Worker, {Seed, 30});
   ASSERT_TRUE(W.Rt->runAll());
-  ASSERT_GT(W.St.get("task.world_stops"), 0u);
+  ASSERT_GT(W.stats().get("task.world_stops"), 0u);
 
   uint64_t TotalSteps = 0, TotalDelays = 0;
   for (int I = 0; I < 3; ++I) {
     std::string Base = "task." + std::to_string(I);
-    uint64_t Steps = W.St.get(Base + ".mutator_steps");
+    uint64_t Steps = W.stats().get(Base + ".mutator_steps");
     EXPECT_GT(Steps, 0u) << Base;
     TotalSteps += Steps;
-    uint64_t Delays = W.St.get(Base + ".world_stop_delays");
+    uint64_t Delays = W.stats().get(Base + ".world_stop_delays");
     TotalDelays += Delays;
     if (Delays > 0) {
       // Percentiles come from a log histogram: monotone, and present
       // exactly when the count is.
-      uint64_t P50 = W.St.get(Base + ".world_stop_delay_ns_p50");
-      uint64_t P90 = W.St.get(Base + ".world_stop_delay_ns_p90");
-      uint64_t P99 = W.St.get(Base + ".world_stop_delay_ns_p99");
+      uint64_t P50 = W.stats().get(Base + ".world_stop_delay_ns_p50");
+      uint64_t P90 = W.stats().get(Base + ".world_stop_delay_ns_p90");
+      uint64_t P99 = W.stats().get(Base + ".world_stop_delay_ns_p99");
       EXPECT_LE(P50, P90) << Base;
       EXPECT_LE(P90, P99) << Base;
     }
@@ -254,44 +245,35 @@ TEST(Tasking, PerTaskStepAndStopDelayStats) {
   // Each VM's counter flush sets the shared vm.steps stat (last writer
   // wins), so the per-task split is the only complete accounting; it
   // dominates any single task's count.
-  EXPECT_GE(TotalSteps, W.St.get(StatId::VmSteps));
+  EXPECT_GE(TotalSteps, W.stats().get(StatId::VmSteps));
   // Each world stop parks every task that did not trigger it; with 3
   // tasks at least the non-triggering ones record a delay. (A task that
   // already finished records none, hence >= rather than ==.)
-  EXPECT_GE(TotalDelays, W.St.get("task.world_stops"));
+  EXPECT_GE(TotalDelays, W.stats().get("task.world_stops"));
 }
 
 TEST(Tasking, MonitorSeesPerTaskActivity) {
   // With a monitor attached before the tasks spawn, samples and stop
   // delays are attributed per task and surface in mon.* stats.
-  World W;
-  CompileOptions O;
-  O.TaskingSafe = true;
-  Compiler C(O);
-  std::string Err;
-  W.P = C.compile(wl::taskWorker(), &Err);
-  ASSERT_TRUE(W.P != nullptr) << Err;
-  W.Col = W.P->makeCollector(GcStrategy::CompiledTagFree,
-                             GcAlgorithm::Copying, 1 << 12, W.St, &Err);
-  ASSERT_TRUE(W.Col != nullptr) << Err;
-  Monitor::Options MO;
-  MO.SamplePeriodSteps = 64;
-  Monitor Mon(MO);
-  attachMonitor(*W.P, *W.Col, Mon);
-  TaskingOptions TO;
-  TO.Policy = SuspendChecks::AtEveryCall;
-  W.Rt = std::make_unique<TaskingRuntime>(W.P->Prog, W.P->Image, *W.P->Types,
-                                          *W.Col, TO);
+  CliOptions O = sessionOptions(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, 1 << 12);
+  O.Threads = 1;
+  O.Monitor = true;
+  O.MonitorSampleSteps = 64;
+  World W{openSession(wl::taskWorker(), O), nullptr};
+  ASSERT_TRUE(W);
   FuncId Worker = findFunction(W.P->Prog, "worker");
+  std::vector<Session::TaskSpawn> Tasks;
   for (int64_t Seed = 1; Seed <= 3; ++Seed)
-    W.Rt->spawnInt(Worker, {Seed, 30});
-  ASSERT_TRUE(W.Rt->runAll());
+    Tasks.push_back({Worker, {Seed, 30}});
+  ASSERT_TRUE(W.S->runTasks(Tasks).Ok);
+  const Monitor &Mon = W.S->monitor();
 
   // Monitor step accounting covers all tasks and agrees with the
   // per-task stats published by the runtime.
   uint64_t TotalSteps = 0;
   for (int I = 0; I < 3; ++I)
-    TotalSteps += W.St.get("task." + std::to_string(I) + ".mutator_steps");
+    TotalSteps += W.stats().get("task." + std::to_string(I) + ".mutator_steps");
   EXPECT_EQ(Mon.stepsObserved(), TotalSteps);
   // Sampling stayed armed across task switches (each VM counts down its
   // own fuel), so the invariant holds with one period of slack per task.
@@ -300,7 +282,7 @@ TEST(Tasking, MonitorSeesPerTaskActivity) {
                        : TotalSteps - Mon.samples() * 64;
   EXPECT_LE(Drift, 64u * 4) << "samples " << Mon.samples() << " steps "
                             << TotalSteps;
-  EXPECT_GT(W.St.get("mon.samples"), 0u);
+  EXPECT_GT(W.stats().get("mon.samples"), 0u);
 }
 
 } // namespace

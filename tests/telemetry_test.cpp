@@ -12,6 +12,8 @@
 #include "support/Telemetry.h"
 #include "workloads/Programs.h"
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 using namespace tfgc;
@@ -130,35 +132,18 @@ TEST(Telemetry, PhaseSwitchIgnoredOutsideCollectionAndWhilePaused) {
 // Census == visit counters; phases partition the pause
 //===----------------------------------------------------------------------===//
 
-/// Runs \p Source under \p S with GC stress on a small heap and returns
-/// the collector for telemetry inspection.
-struct TelemetryRun {
-  Stats St;
-  std::unique_ptr<CompiledProgram> P;
-  std::unique_ptr<Collector> Col;
-};
-
-TelemetryRun runWithTelemetry(const std::string &Source, GcStrategy S,
-                              GcAlgorithm A = GcAlgorithm::Copying,
-                              size_t HeapBytes = 1 << 14,
-                              GcEventSink *Sink = nullptr) {
-  TelemetryRun R;
-  Compiled C = compile(Source);
-  EXPECT_TRUE(C.P) << C.Error;
-  if (!C.P)
-    return R;
-  R.P = std::move(C.P);
-  std::string Error;
-  R.Col = R.P->makeCollector(S, A, HeapBytes, R.St, &Error);
-  EXPECT_TRUE(R.Col) << Error;
-  if (!R.Col)
-    return R;
-  R.Col->telemetry().setEventSink(Sink);
-  Vm M(R.P->Prog, R.P->Image, *R.P->Types, *R.Col,
-       defaultVmOptions(S, /*GcStress=*/true));
-  RunResult Run = M.run();
-  EXPECT_TRUE(Run.Ok) << Run.Error << " under " << gcStrategyName(S);
-  return R;
+/// Runs \p Source under \p S with GC stress on a small heap through a
+/// bare Session (no attachments) for telemetry inspection; \p Sink, when
+/// given, receives every collection event.
+SessionRun runWithTelemetry(const std::string &Source, GcStrategy S,
+                            GcAlgorithm A = GcAlgorithm::Copying,
+                            size_t HeapBytes = 1 << 14,
+                            GcEventSink *Sink = nullptr) {
+  CliOptions O = sessionOptions(S, A, HeapBytes);
+  O.Stress = true;
+  return runSession(Source, O, [Sink](Session &Sn) {
+    Sn.collector().telemetry().setEventSink(Sink);
+  });
 }
 
 TEST(Telemetry, CensusMatchesVisitCounters) {
@@ -166,28 +151,28 @@ TEST(Telemetry, CensusMatchesVisitCounters) {
   // mirror the gc.objects_visited / gc.words_visited increments exactly,
   // for every strategy.
   for (GcStrategy S : AllStrategies) {
-    TelemetryRun R = runWithTelemetry(wl::listChurn(40, 20), S);
-    ASSERT_TRUE(R.Col);
-    Telemetry &T = R.Col->telemetry();
+    SessionRun R = runWithTelemetry(wl::listChurn(40, 20), S);
+    ASSERT_TRUE(R);
+    Telemetry &T = R.S->collector().telemetry();
     EXPECT_GT(T.collections(), 0u) << gcStrategyName(S);
-    EXPECT_EQ(T.collections(), R.St.get(StatId::GcCollections))
+    EXPECT_EQ(T.collections(), R.stats().get(StatId::GcCollections))
         << gcStrategyName(S);
-    EXPECT_EQ(T.censusObjectsTotal(), R.St.get(StatId::GcObjectsVisited))
+    EXPECT_EQ(T.censusObjectsTotal(), R.stats().get(StatId::GcObjectsVisited))
         << gcStrategyName(S);
-    EXPECT_EQ(T.censusWordsTotal(), R.St.get(StatId::GcWordsVisited))
+    EXPECT_EQ(T.censusWordsTotal(), R.stats().get(StatId::GcWordsVisited))
         << gcStrategyName(S);
   }
 }
 
 TEST(Telemetry, CensusMatchesVisitCountersMarkSweep) {
-  TelemetryRun R = runWithTelemetry(wl::binaryTrees(6, 4),
+  SessionRun R = runWithTelemetry(wl::binaryTrees(6, 4),
                                     GcStrategy::CompiledTagFree,
                                     GcAlgorithm::MarkSweep);
-  ASSERT_TRUE(R.Col);
-  Telemetry &T = R.Col->telemetry();
+  ASSERT_TRUE(R);
+  Telemetry &T = R.S->collector().telemetry();
   EXPECT_GT(T.collections(), 0u);
-  EXPECT_EQ(T.censusObjectsTotal(), R.St.get(StatId::GcObjectsVisited));
-  EXPECT_EQ(T.censusWordsTotal(), R.St.get(StatId::GcWordsVisited));
+  EXPECT_EQ(T.censusObjectsTotal(), R.stats().get(StatId::GcObjectsVisited));
+  EXPECT_EQ(T.censusWordsTotal(), R.stats().get(StatId::GcWordsVisited));
   // A tree workload is all datatype values: the census sees only Data.
   EXPECT_GT(T.censusObjectsTotal(CensusKind::Data), 0u);
   EXPECT_EQ(T.censusObjectsTotal(CensusKind::TaggedScan), 0u);
@@ -206,11 +191,11 @@ struct PhaseWithinPause : GcEventSink {
 
 TEST(Telemetry, PhaseSpansPartitionThePause) {
   PhaseWithinPause Check;
-  TelemetryRun R = runWithTelemetry(wl::listChurn(40, 20),
+  SessionRun R = runWithTelemetry(wl::listChurn(40, 20),
                                     GcStrategy::CompiledTagFree,
                                     GcAlgorithm::Copying, 1 << 14, &Check);
-  ASSERT_TRUE(R.Col);
-  Telemetry &T = R.Col->telemetry();
+  ASSERT_TRUE(R);
+  Telemetry &T = R.S->collector().telemetry();
   ASSERT_GT(T.collections(), 0u);
   EXPECT_EQ(Check.Events, T.collections());
 
@@ -231,47 +216,43 @@ TEST(Telemetry, PhaseSpansPartitionThePause) {
 }
 
 TEST(Telemetry, PercentileStatsPublished) {
-  TelemetryRun R =
+  SessionRun R =
       runWithTelemetry(wl::listChurn(40, 20), GcStrategy::CompiledTagFree);
-  ASSERT_TRUE(R.Col);
-  Telemetry &T = R.Col->telemetry();
-  EXPECT_EQ(R.St.get(StatId::GcPauseNsP50), T.pauseHistogram().percentile(50));
-  EXPECT_EQ(R.St.get(StatId::GcPauseNsP90), T.pauseHistogram().percentile(90));
-  EXPECT_EQ(R.St.get(StatId::GcPauseNsP99), T.pauseHistogram().percentile(99));
-  EXPECT_LE(R.St.get(StatId::GcPauseNsP50), R.St.get(StatId::GcPauseNsP90));
-  EXPECT_LE(R.St.get(StatId::GcPauseNsP90), R.St.get(StatId::GcPauseNsP99));
-  EXPECT_LE(R.St.get(StatId::GcPauseNsP99), R.St.get(StatId::GcPauseNsMax));
+  ASSERT_TRUE(R);
+  Stats &St = R.stats();
+  Telemetry &T = R.S->collector().telemetry();
+  EXPECT_EQ(St.get(StatId::GcPauseNsP50), T.pauseHistogram().percentile(50));
+  EXPECT_EQ(St.get(StatId::GcPauseNsP90), T.pauseHistogram().percentile(90));
+  EXPECT_EQ(St.get(StatId::GcPauseNsP99), T.pauseHistogram().percentile(99));
+  EXPECT_LE(St.get(StatId::GcPauseNsP50), St.get(StatId::GcPauseNsP90));
+  EXPECT_LE(St.get(StatId::GcPauseNsP90), St.get(StatId::GcPauseNsP99));
+  EXPECT_LE(St.get(StatId::GcPauseNsP99), St.get(StatId::GcPauseNsMax));
   // publishTelemetryStats also exports per-phase and census dynamic keys.
-  EXPECT_TRUE(R.St.has("gc.phase_root_scan_ns"));
-  EXPECT_GT(R.St.get("gc.census_data_objects"), 0u);
+  EXPECT_TRUE(St.has("gc.phase_root_scan_ns"));
+  EXPECT_GT(St.get("gc.census_data_objects"), 0u);
 
   // World-stop delays (fed by the tasking runtime) publish as dynamic
   // percentile keys once any delay is recorded.
-  EXPECT_FALSE(R.St.has("task.world_stop_delay_ns_p50"));
+  EXPECT_FALSE(St.has("task.world_stop_delay_ns_p50"));
   T.recordWorldStopDelay(1000);
   T.recordWorldStopDelay(3000);
-  R.Col->publishTelemetryStats();
-  EXPECT_EQ(R.St.get("task.world_stop_delay_ns_p50"),
+  R.S->collector().publishTelemetryStats();
+  EXPECT_EQ(St.get("task.world_stop_delay_ns_p50"),
             T.worldStopDelayHistogram().percentile(50));
-  EXPECT_TRUE(R.St.has("task.world_stop_delay_ns_p99"));
+  EXPECT_TRUE(St.has("task.world_stop_delay_ns_p99"));
 }
 
 TEST(Telemetry, VerifyPassDoesNotPolluteCensus) {
-  Compiled C = compile(wl::listChurn(40, 20));
-  ASSERT_TRUE(C.P) << C.Error;
-  Stats St;
-  std::string Error;
   // Large heap: no grow-retry re-traces, so each collection traces the
   // live set exactly once plus one verify pass.
-  auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
-                                GcAlgorithm::Copying, 1 << 20, St, &Error);
-  ASSERT_TRUE(Col) << Error;
-  Col->setVerifyAfterGc(true);
-  Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
-       defaultVmOptions(GcStrategy::CompiledTagFree, /*GcStress=*/true));
-  RunResult Run = M.run();
-  ASSERT_TRUE(Run.Ok) << Run.Error;
-  Telemetry &T = Col->telemetry();
+  CliOptions O = sessionOptions(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, 1 << 20);
+  O.Stress = true;
+  O.Verify = true;
+  SessionRun R = runSession(wl::listChurn(40, 20), O);
+  ASSERT_TRUE(R);
+  Stats &St = R.stats();
+  Telemetry &T = R.S->collector().telemetry();
   // The verify pass re-runs the tracers over a CheckSpace, doubling the
   // gc.objects_visited counter — but the census is paused during verify,
   // so it counts each live object once.
@@ -286,22 +267,16 @@ TEST(Telemetry, VerifyPassDoesNotPolluteCensus) {
 //===----------------------------------------------------------------------===//
 
 TEST(Telemetry, ChromeTraceIsValidJson) {
-  Compiled C = compile(wl::listChurn(40, 20));
-  ASSERT_TRUE(C.P) << C.Error;
-  Stats St;
-  std::string Error;
-  auto Col = C.P->makeCollector(GcStrategy::CompiledTagFree,
-                                GcAlgorithm::Copying, 1 << 14, St, &Error);
-  ASSERT_TRUE(Col) << Error;
+  std::string Path = ::testing::TempDir() + "tfgc_telemetry_test_trace.json";
+  CliOptions O = sessionOptions(GcStrategy::CompiledTagFree);
+  O.Stress = true;
+  O.TraceOutPath = Path;
+  SessionRun R = runSession(wl::listChurn(40, 20), O);
+  ASSERT_TRUE(R);
+  Telemetry &T = R.S->collector().telemetry();
   std::ostringstream Trace;
-  Telemetry &T = Col->telemetry();
-  T.setLabel("compiled-tagfree");
-  T.beginTrace(Trace);
-  Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col,
-       defaultVmOptions(GcStrategy::CompiledTagFree, /*GcStress=*/true));
-  RunResult Run = M.run();
-  ASSERT_TRUE(Run.Ok) << Run.Error;
-  T.endTrace();
+  Trace << std::ifstream(Path).rdbuf();
+  std::remove(Path.c_str());
 
   std::string J = Trace.str();
   EXPECT_TRUE(validJson(J)) << J.substr(0, 400);
@@ -319,11 +294,11 @@ TEST(Telemetry, ChromeTraceIsValidJson) {
 }
 
 TEST(Telemetry, StatsJsonIsValidAndComplete) {
-  TelemetryRun R =
+  SessionRun R =
       runWithTelemetry(wl::listChurn(40, 20), GcStrategy::CompiledTagFree);
-  ASSERT_TRUE(R.Col);
+  ASSERT_TRUE(R);
   std::ostringstream OS;
-  R.Col->telemetry().writeStatsJson(OS, R.St);
+  R.S->collector().telemetry().writeStatsJson(OS, R.stats());
   std::string J = OS.str();
   EXPECT_TRUE(validJson(J)) << J.substr(0, 400);
   EXPECT_NE(J.find("\"pause_histogram\""), std::string::npos);

@@ -13,8 +13,6 @@
 #include "runtime/Carve.h"
 #include "sched/ThreadedTasking.h"
 #include "sched/WorkSteal.h"
-#include "support/Epoch.h"
-#include "support/Introspect.h"
 #include "support/Rng.h"
 #include "workloads/Programs.h"
 
@@ -338,61 +336,56 @@ TEST(Threads, ConcurrentCarvesFillExactlyFullTargetsWithinTheReserve) {
 // ThreadedRuntime vs the cooperative reference
 //===----------------------------------------------------------------------===//
 
-struct TWorld {
-  std::unique_ptr<CompiledProgram> P;
-  Stats St;
-  std::unique_ptr<Collector> Col;
+struct TWorld : SessionRun {
   std::unique_ptr<ThreadedRuntime> Rt;
 };
+
+/// An OS-thread run assembled as tfgc --threads=N assembles it (N-way
+/// parallel tracer) whose tasks the test spawns itself.
+TWorld makeThreaded(const std::string &Source, const CliOptions &O) {
+  TWorld W{openSession(Source, O), nullptr};
+  W.Rt = std::make_unique<ThreadedRuntime>(W.P->Prog, W.P->Image, *W.P->Types,
+                                           W.S->collector(),
+                                           W.S->taskingOptions());
+  return W;
+}
 
 TWorld makeThreaded(const std::string &Source, GcStrategy S, GcAlgorithm A,
                     size_t HeapBytes, unsigned GcThreads, bool Verify,
                     size_t NurseryBytes = 0) {
-  TWorld W;
-  CompileOptions O;
-  O.TaskingSafe = true;
-  Compiler C(O);
-  std::string Err;
-  W.P = C.compile(Source, &Err);
-  EXPECT_TRUE(W.P != nullptr) << Err;
-  W.Col = W.P->makeCollector(S, A, HeapBytes, W.St, &Err, NurseryBytes);
-  EXPECT_TRUE(W.Col != nullptr) << Err;
-  W.Col->setVerifyAfterGc(Verify);
-  if (GcThreads >= 2)
-    W.Col->setGcThreads(GcThreads);
-  TaskingOptions TO;
-  TO.Policy = SuspendChecks::AtEveryCall;
-  TO.ZeroFrames = S == GcStrategy::Tagged || S == GcStrategy::AppelTagFree;
-  W.Rt = std::make_unique<ThreadedRuntime>(W.P->Prog, W.P->Image, *W.P->Types,
-                                           *W.Col, TO);
-  return W;
+  CliOptions O = sessionOptions(S, A, HeapBytes, NurseryBytes);
+  O.Threads = GcThreads;
+  O.Verify = Verify;
+  return makeThreaded(Source, O);
+}
+
+/// Per-task values of \p Source's worker, one task per argument list, on
+/// the cooperative scheduler over a roomy heap: the logical reference.
+std::vector<std::string>
+cooperativeValues(const std::string &Source, size_t HeapBytes,
+                  const std::vector<std::vector<int64_t>> &Args) {
+  CliOptions O = sessionOptions(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Copying, HeapBytes);
+  O.Threads = 1;
+  SessionRun Run = openSession(Source, O);
+  CompiledProgram &P = *Run.P;
+  TaskingRuntime Rt(P.Prog, P.Image, *P.Types, Run.S->collector(),
+                    Run.S->taskingOptions());
+  FuncId Worker = findFunction(P.Prog, "worker");
+  EXPECT_NE(Worker, InvalidFunc);
+  for (const std::vector<int64_t> &A : Args)
+    Rt.spawnInt(Worker, A);
+  EXPECT_TRUE(Rt.runAll());
+  std::vector<std::string> Values;
+  for (const TaskResult &R : Rt.results())
+    Values.push_back(R.Value);
+  return Values;
 }
 
 TEST(Threads, ResultsMatchCooperativeAllStrategiesAllAlgorithms) {
   // Expected values from the cooperative scheduler on a roomy heap.
-  std::vector<std::string> Expected;
-  {
-    CompileOptions O;
-    O.TaskingSafe = true;
-    Compiler C(O);
-    std::string Err;
-    auto P = C.compile(wl::taskWorker(), &Err);
-    ASSERT_TRUE(P != nullptr) << Err;
-    Stats St;
-    auto Col = P->makeCollector(GcStrategy::CompiledTagFree,
-                                GcAlgorithm::Copying, 1 << 20, St, &Err);
-    ASSERT_TRUE(Col != nullptr) << Err;
-    TaskingOptions TO;
-    TO.Policy = SuspendChecks::AtEveryCall;
-    TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-    FuncId Worker = findFunction(P->Prog, "worker");
-    ASSERT_NE(Worker, InvalidFunc);
-    for (int64_t Seed = 1; Seed <= 4; ++Seed)
-      Rt.spawnInt(Worker, {Seed, 40});
-    ASSERT_TRUE(Rt.runAll());
-    for (const TaskResult &R : Rt.results())
-      Expected.push_back(R.Value);
-  }
+  const std::vector<std::string> Expected = cooperativeValues(
+      wl::taskWorker(), 1 << 20, {{1, 40}, {2, 40}, {3, 40}, {4, 40}});
 
   // Four real threads on a tight heap: every strategy x algorithm must
   // reproduce the same per-task values with census verification on, and
@@ -413,19 +406,19 @@ TEST(Threads, ResultsMatchCooperativeAllStrategiesAllAlgorithms) {
 
       // No lost handshakes: armed request == world stop == epoch, and
       // the tight heap forced at least one.
-      uint64_t Requests = W.St.get(StatId::TaskGcRequests);
-      uint64_t Stops = W.St.get(StatId::TaskWorldStops);
+      uint64_t Requests = W.stats().get(StatId::TaskGcRequests);
+      uint64_t Stops = W.stats().get(StatId::TaskWorldStops);
       EXPECT_GT(Stops, 0u) << gcStrategyName(S) << "/" << gcAlgorithmName(A);
       EXPECT_EQ(Requests, Stops)
           << gcStrategyName(S) << "/" << gcAlgorithmName(A);
       EXPECT_EQ(W.Rt->gcEpochs(), Stops)
           << gcStrategyName(S) << "/" << gcAlgorithmName(A);
-      EXPECT_EQ(W.St.get("sched.handshake_epochs"), Stops);
+      EXPECT_EQ(W.stats().get("sched.handshake_epochs"), Stops);
 
       // Census verification ran after every collection and found the
       // heap intact.
-      EXPECT_GT(W.St.get(StatId::GcVerifyPasses), 0u);
-      EXPECT_EQ(W.St.get(StatId::GcVerifyViolations), 0u)
+      EXPECT_GT(W.stats().get(StatId::GcVerifyPasses), 0u);
+      EXPECT_EQ(W.stats().get(StatId::GcVerifyViolations), 0u)
           << gcStrategyName(S) << "/" << gcAlgorithmName(A);
     }
   }
@@ -484,26 +477,9 @@ TEST(Threads, ParallelEvacuationIntoNearlyAllLiveTargets) {
   // nearly all live is where that could overflow it.
   constexpr int Iters = 300;
   auto Reference = [&](int64_t G) {
-    CompileOptions O;
-    O.TaskingSafe = true;
-    Compiler C(O);
-    std::string Err;
-    auto P = C.compile(ForestSource, &Err);
-    EXPECT_TRUE(P != nullptr) << Err;
-    Stats St;
-    auto Col = P->makeCollector(GcStrategy::CompiledTagFree,
-                                GcAlgorithm::Copying, 8 << 20, St, &Err);
-    TaskingOptions TO;
-    TO.Policy = SuspendChecks::AtEveryCall;
-    TaskingRuntime Rt(P->Prog, P->Image, *P->Types, *Col, TO);
-    FuncId Worker = findFunction(P->Prog, "worker");
-    for (int64_t Seed = 1; Seed <= 4; ++Seed)
-      Rt.spawnInt(Worker, {Seed, Iters, G});
-    EXPECT_TRUE(Rt.runAll());
-    std::vector<std::string> Values;
-    for (const TaskResult &R : Rt.results())
-      Values.push_back(R.Value);
-    return Values;
+    return cooperativeValues(
+        ForestSource, 8 << 20,
+        {{1, Iters, G}, {2, Iters, G}, {3, Iters, G}, {4, Iters, G}});
   };
   const std::vector<std::string> Expected[] = {Reference(0), Reference(3)};
 
@@ -540,7 +516,7 @@ TEST(Threads, ParallelEvacuationIntoNearlyAllLiveTargets) {
         TWorld W = makeThreaded(ForestSource, S, C.A, C.HeapBytes, K, true,
                                 C.NurseryBytes);
         EvacuationLog Log(C.HeapBytes);
-        W.Col->telemetry().setEventSink(&Log);
+        W.S->collector().telemetry().setEventSink(&Log);
         FuncId Worker = findFunction(W.P->Prog, "worker");
         for (int64_t Seed = 1; Seed <= (int64_t)K; ++Seed)
           W.Rt->spawnInt(Worker, {Seed, Iters, C.Garbage});
@@ -549,21 +525,21 @@ TEST(Threads, ParallelEvacuationIntoNearlyAllLiveTargets) {
           EXPECT_EQ(W.Rt->results()[I].Value, Expected[C.Garbage != 0][I])
               << Ctx << " task " << I;
 
-        EXPECT_GT(W.St.get(StatId::GcParallelTraces), 0u) << Ctx;
-        EXPECT_GT(W.St.get(StatId::GcVerifyPasses), 0u) << Ctx;
-        EXPECT_EQ(W.St.get(StatId::GcVerifyViolations), 0u) << Ctx;
-        W.Col->publishTelemetryStats();
-        EXPECT_GT(W.Col->telemetry().censusObjectsTotal(), 0u) << Ctx;
+        EXPECT_GT(W.stats().get(StatId::GcParallelTraces), 0u) << Ctx;
+        EXPECT_GT(W.stats().get(StatId::GcVerifyPasses), 0u) << Ctx;
+        EXPECT_EQ(W.stats().get(StatId::GcVerifyViolations), 0u) << Ctx;
+        W.S->collector().publishTelemetryStats();
+        EXPECT_GT(W.S->collector().telemetry().censusObjectsTotal(), 0u) << Ctx;
         if (C.A == GcAlgorithm::Generational) {
-          uint64_t Allocated = W.St.get(StatId::HeapObjectsAllocated);
-          uint64_t Promoted = W.St.get("gc.promoted_objects");
-          uint64_t Dead = W.St.get("gc.young_dead_objects");
-          uint64_t Resident = W.St.get("gc.nursery_resident_objects");
+          uint64_t Allocated = W.stats().get(StatId::HeapObjectsAllocated);
+          uint64_t Promoted = W.stats().get("gc.promoted_objects");
+          uint64_t Dead = W.stats().get("gc.young_dead_objects");
+          uint64_t Resident = W.stats().get("gc.nursery_resident_objects");
           EXPECT_EQ(Allocated, Promoted + Dead + Resident) << Ctx;
         }
         switch (C.T) {
         case Target::ToSpace:
-          EXPECT_GT(W.St.get(StatId::GcHeapGrowths), 0u) << Ctx;
+          EXPECT_GT(W.stats().get(StatId::GcHeapGrowths), 0u) << Ctx;
           EXPECT_GE(Log.FullestToSpace, 0.9) << Ctx;
           break;
         case Target::Minor:
@@ -588,27 +564,27 @@ TEST(Threads, PerTaskTlabAndStopDelayStats) {
   for (int64_t Seed = 1; Seed <= 4; ++Seed)
     W.Rt->spawnInt(Worker, {Seed, 40});
   ASSERT_TRUE(W.Rt->runAll());
-  ASSERT_GT(W.St.get(StatId::TaskWorldStops), 0u);
+  ASSERT_GT(W.stats().get(StatId::TaskWorldStops), 0u);
 
   uint64_t Delays = 0;
   for (int I = 0; I < 4; ++I) {
     std::string Base = "task." + std::to_string(I);
-    EXPECT_GT(W.St.get(Base + ".mutator_steps"), 0u) << Base;
+    EXPECT_GT(W.stats().get(Base + ".mutator_steps"), 0u) << Base;
     // Every thread allocates through its TLAB, so each one refilled at
     // least once and the words it bumped are accounted.
-    EXPECT_GT(W.St.get(Base + ".tlab_refills"), 0u) << Base;
-    EXPECT_GT(W.St.get(Base + ".tlab_alloc_words"), 0u) << Base;
-    Delays += W.St.get(Base + ".world_stop_delays");
-    uint64_t P50 = W.St.get(Base + ".world_stop_delay_ns_p50");
-    uint64_t P90 = W.St.get(Base + ".world_stop_delay_ns_p90");
-    uint64_t P99 = W.St.get(Base + ".world_stop_delay_ns_p99");
+    EXPECT_GT(W.stats().get(Base + ".tlab_refills"), 0u) << Base;
+    EXPECT_GT(W.stats().get(Base + ".tlab_alloc_words"), 0u) << Base;
+    Delays += W.stats().get(Base + ".world_stop_delays");
+    uint64_t P50 = W.stats().get(Base + ".world_stop_delay_ns_p50");
+    uint64_t P90 = W.stats().get(Base + ".world_stop_delay_ns_p90");
+    uint64_t P99 = W.stats().get(Base + ".world_stop_delay_ns_p99");
     EXPECT_LE(P50, P90) << Base;
     EXPECT_LE(P90, P99) << Base;
   }
   // Each handshake parks every still-live task; the triggering thread
   // records a delay too (request-to-collection time), so the histogram
   // counts at least one entry per stop.
-  EXPECT_GE(Delays, W.St.get(StatId::TaskWorldStops));
+  EXPECT_GE(Delays, W.stats().get(StatId::TaskWorldStops));
 }
 
 TEST(Threads, ParallelTraceEngagesWithFourStacks) {
@@ -621,9 +597,9 @@ TEST(Threads, ParallelTraceEngagesWithFourStacks) {
   for (int64_t Seed = 1; Seed <= 4; ++Seed)
     W.Rt->spawnInt(Worker, {Seed, 40});
   ASSERT_TRUE(W.Rt->runAll());
-  ASSERT_GT(W.St.get(StatId::GcCollections), 0u);
-  EXPECT_GT(W.St.get(StatId::GcParallelTraces), 0u);
-  uint64_t Workers = W.St.get(StatId::GcParallelWorkers);
+  ASSERT_GT(W.stats().get(StatId::GcCollections), 0u);
+  EXPECT_GT(W.stats().get(StatId::GcParallelTraces), 0u);
+  uint64_t Workers = W.stats().get(StatId::GcParallelWorkers);
   EXPECT_GE(Workers, 2u);
   EXPECT_LE(Workers, 4u);
 }
@@ -639,9 +615,9 @@ TEST(Threads, FinishingThreadsHandOffPendingCollections) {
   for (int64_t N : {5, 15, 30, 45})
     W.Rt->spawnInt(Worker, {N, N});
   ASSERT_TRUE(W.Rt->runAll());
-  EXPECT_EQ(W.St.get(StatId::TaskGcRequests),
-            W.St.get(StatId::TaskWorldStops));
-  EXPECT_EQ(W.St.get(StatId::GcVerifyViolations), 0u);
+  EXPECT_EQ(W.stats().get(StatId::TaskGcRequests),
+            W.stats().get(StatId::TaskWorldStops));
+  EXPECT_EQ(W.stats().get(StatId::GcVerifyViolations), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -691,23 +667,17 @@ TEST(Threads, HandshakeStressUnderLiveMetricsScraper) {
   // of handshakes), while a scraper thread GETs /metrics every ~2ms.
   // Epoch folds happen inside each pause; every scrape must observe a
   // coherent snapshot with monotone epoch and collection counters.
-  TWorld W = makeThreaded(wl::taskWorker(), GcStrategy::CompiledTagFree,
-                          GcAlgorithm::Generational, 1 << 13, 4, true);
+  CliOptions O = sessionOptions(GcStrategy::CompiledTagFree,
+                                GcAlgorithm::Generational, 1 << 13);
+  O.Threads = 4;
+  O.Verify = true;
+  O.ServePort = 0; // Epoch 1 is folded before any mutator runs.
+  TWorld W = makeThreaded(wl::taskWorker(), O);
+  ASSERT_TRUE(W);
   FuncId Worker = findFunction(W.P->Prog, "worker");
   for (int64_t Seed = 1; Seed <= 4; ++Seed)
     W.Rt->spawnInt(Worker, {Seed, 45});
-
-  EpochAggregator Agg;
-  Agg.attachStats(&W.St);
-  Agg.setLabel("threads-stress");
-  W.Col->setEpochAggregator(&Agg);
-  IntrospectServer Srv;
-  std::string Err;
-  uint16_t Port = Srv.start(0, Err);
-  ASSERT_NE(Port, 0u) << Err;
-  Agg.attachServer(&Srv);
-  // Epoch 1 before any mutator runs: the world is trivially stopped.
-  Agg.fold(SafepointKind::Startup);
+  uint16_t Port = W.S->servePort();
 
   std::atomic<bool> Stop{false};
   std::atomic<uint64_t> Scrapes{0};
@@ -730,7 +700,7 @@ TEST(Threads, HandshakeStressUnderLiveMetricsScraper) {
   });
 
   ASSERT_TRUE(W.Rt->runAll());
-  Agg.fold(SafepointKind::RunEnd);
+  ASSERT_TRUE(W.S->finish()); // The final RunEnd epoch.
   Stop.store(true, std::memory_order_release);
   Scraper.join();
 
@@ -739,17 +709,17 @@ TEST(Threads, HandshakeStressUnderLiveMetricsScraper) {
 
   // No lost handshakes across hundreds of cycles, heap verified after
   // every one of them.
-  uint64_t Stops = W.St.get(StatId::TaskWorldStops);
+  uint64_t Stops = W.stats().get(StatId::TaskWorldStops);
   EXPECT_GT(Stops, 0u);
-  EXPECT_EQ(W.St.get(StatId::TaskGcRequests), Stops);
+  EXPECT_EQ(W.stats().get(StatId::TaskGcRequests), Stops);
   EXPECT_EQ(W.Rt->gcEpochs(), Stops);
-  EXPECT_EQ(W.St.get(StatId::GcVerifyViolations), 0u);
+  EXPECT_EQ(W.stats().get(StatId::GcVerifyViolations), 0u);
 
   // The final fold published the run's last word: the served exposition
   // agrees with the in-process stats.
   std::string Body = httpGet(Port, "/metrics");
   EXPECT_EQ(metricValue(Body, "tfgc_gc_collections"),
-            (int64_t)W.St.get(StatId::GcCollections));
+            (int64_t)W.stats().get(StatId::GcCollections));
 }
 
 } // namespace
