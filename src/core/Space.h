@@ -411,7 +411,7 @@ private:
 };
 
 /// Major-collection policy over a generational heap: the entire live
-/// graph — young and old — evacuates into a fresh tenured to-space.
+/// graph — young and old — evacuates into the idle tenured half.
 /// Young objects evacuated here count as promotions (they leave the
 /// nursery for good).
 class GenMajorSpace : public Space {

@@ -7,6 +7,14 @@
 /// bump privately inside their chunk, so the cursor's cache line moves
 /// between cores once per chunk instead of once per object.
 ///
+/// The cursors bump through SpaceBlocks: unzeroed blocks that the heaps
+/// keep in pairs and flip at each collection instead of freeing
+/// (DESIGN.md section 6, "Space lifecycle"). A word of a block is written
+/// by whoever it is handed to before anything reads it, so no block needs
+/// zeroing. AddressSanitizer builds poison every word no object occupies,
+/// and the allocators here and in the heaps unpoison exactly what they hand
+/// out, so a read of a from-space after its collection still reports.
+///
 /// A copy buffer strands whatever part of its chunk no object used, which
 /// a serial evacuation never does, so a target that is nearly all live
 /// could overflow. Three rules bound the stranded words (DESIGN.md
@@ -30,11 +38,65 @@
 
 #include "runtime/Value.h"
 
+#include <sanitizer/asan_interface.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 
 namespace tfgc {
+
+/// True in AddressSanitizer builds, which poison every word no object
+/// occupies; the ASAN_* macros (and so the two helpers below) compile to
+/// nothing in other builds, which the interface header decides by the
+/// same condition.
+inline constexpr bool PoisonsFreeWords =
+#if __has_feature(address_sanitizer) || defined(__SANITIZE_ADDRESS__)
+    true;
+#else
+    false;
+#endif
+
+inline void poisonWords(const Word *Begin, const Word *End) {
+  ASAN_POISON_MEMORY_REGION(Begin, (size_t)(End - Begin) * sizeof(Word));
+}
+inline void unpoisonWords(const Word *Begin, size_t Words) {
+  ASAN_UNPOISON_MEMORY_REGION(Begin, Words * sizeof(Word));
+}
+
+/// One block of a bump space. It is allocated without zeroing, so its pages
+/// join the process only when an allocator first writes them, and it comes
+/// back poisoned whole: it holds no object yet.
+class SpaceBlock {
+public:
+  /// Reallocates the block at exactly \p Words, dropping what it held. The
+  /// old block is released first, so the new one can take its memory.
+  void allocate(size_t Words) {
+    Mem.reset();
+    Mem = std::make_unique_for_overwrite<Word[]>(Words);
+    Size = Words;
+    poison();
+  }
+  /// Reallocates only if the block holds fewer than \p Words.
+  void reserve(size_t Words) {
+    if (Size < Words)
+      allocate(Words);
+  }
+  void release() {
+    Mem.reset();
+    Size = 0;
+  }
+  /// Marks every word free: the block's objects are dead or moved.
+  void poison() const { poisonWords(begin(), begin() + Size); }
+
+  Word *begin() const { return Mem.get(); }
+  size_t words() const { return Size; }
+
+private:
+  std::unique_ptr<Word[]> Mem;
+  size_t Size = 0;
+};
 
 /// Carves a chunk off the shared bump cursor \p Cursor with one CAS,
 /// retried only when another thread moved the cursor first. With `Left`
@@ -57,6 +119,7 @@ bool carve(Word *&Cursor, Word *End, Word *Limit, size_t MinWords,
     if (A.compare_exchange_weak(Cur, Cur + Take, std::memory_order_relaxed)) {
       OutTop = Cur;
       OutEnd = Cur + Take;
+      unpoisonWords(Cur, Take);
       return true;
     }
   }
@@ -105,6 +168,7 @@ inline Word *evacuationBump(Word *&Cursor, Word *Limit, size_t Words,
     evacuationOverflow(Target, Words);
   Word *P = Cursor;
   Cursor += Words;
+  unpoisonWords(P, Words);
   return P;
 }
 

@@ -15,9 +15,9 @@ size_t clampWords(size_t Bytes) {
 
 GenHeap::GenHeap(size_t TenuredBytes, size_t NurseryBytes) {
   NurCapacityWords = clampWords(NurseryBytes);
-  allocateSemispace(0);
-  allocateSemispace(1);
-  NurBase = NurAlloc = NurSpaces[0].get();
+  NurSpaces[0].allocate(semispaceWords());
+  NurSpaces[1].allocate(semispaceWords());
+  NurBase = NurAlloc = NurSpaces[0].begin();
   NurEnd = NurBase + NurCapacityWords;
 
   TenCapacityWords = clampWords(TenuredBytes);
@@ -29,17 +29,10 @@ size_t GenHeap::semispaceWords() const {
          evacuationReserveWords(NurCapacityWords, GcWorkers);
 }
 
-void GenHeap::allocateSemispace(int I) {
-  NurSpaces[I].reset(); // Released first, so its memory can be reused.
-  NurSpaceWords[I] = semispaceWords();
-  NurSpaces[I] = std::make_unique<Word[]>(NurSpaceWords[I]);
-}
-
 void GenHeap::allocateTenured() {
   size_t Reserve = evacuationReserveWords(TenCapacityWords, GcWorkers);
-  Ten.reset();
-  Ten = std::make_unique<Word[]>(TenCapacityWords + Reserve);
-  TenBase = TenAlloc = Ten.get();
+  TenSpaces[TenCur].allocate(TenCapacityWords + Reserve);
+  TenBase = TenAlloc = TenSpaces[TenCur].begin();
   TenEnd = TenBase + TenCapacityWords;
   TenLimit = TenEnd + Reserve;
 }
@@ -60,9 +53,9 @@ void GenHeap::setParallelTracing(unsigned Workers) {
   // growing the process.
   bool NurseryEmpty = nurseryUsedWords() == 0;
   bool TenuredEmpty = tenuredUsedWords() == 0;
-  NurSpaces[1 - NurCur].reset();
+  NurSpaces[1 - NurCur].release();
   if (NurseryEmpty)
-    NurSpaces[NurCur].reset();
+    NurSpaces[NurCur].release();
   if (TenuredEmpty) {
     allocateTenured();
   } else {
@@ -77,22 +70,21 @@ void GenHeap::setParallelTracing(unsigned Workers) {
       TenCapacityWords = (size_t)(TenEnd - TenBase);
     }
   }
-  allocateSemispace(1 - NurCur);
+  NurSpaces[1 - NurCur].allocate(semispaceWords());
   if (NurseryEmpty) {
-    allocateSemispace(NurCur);
-    NurBase = NurAlloc = NurSpaces[NurCur].get();
+    NurSpaces[NurCur].allocate(semispaceWords());
+    NurBase = NurAlloc = NurSpaces[NurCur].begin();
     NurEnd = NurBase + NurCapacityWords;
   }
 }
 
 void GenHeap::beginMinor() {
   assert(!collecting() && "collection already in progress");
-  int To = 1 - NurCur;
-  if (NurSpaceWords[To] < semispaceWords())
-    allocateSemispace(To);
-  NurToBase = NurToAlloc = NurSpaces[To].get();
+  SpaceBlock &To = NurSpaces[1 - NurCur];
+  To.reserve(semispaceWords());
+  NurToBase = NurToAlloc = To.begin();
   NurToEnd = NurToBase + NurCapacityWords;
-  NurToLimit = NurToBase + NurSpaceWords[To];
+  NurToLimit = NurToBase + To.words();
   NurForwardBits.assign(((size_t)(NurEnd - NurBase) + 63) / 64, 0);
   if (GcWorkers)
     NurPublishedBits.assign(NurForwardBits.size(), 0);
@@ -101,11 +93,12 @@ void GenHeap::beginMinor() {
 
 void GenHeap::endMinor() {
   assert(MinorActive);
-  // The to-space (survivors) becomes the nursery; the old from-space is
-  // the next collection's to-space. Survivors or promotions that spilled
-  // into a reserve leave that space full.
+  // The to-space (survivors) becomes the nursery; the old from-space goes
+  // idle, every word free, as the next collection's to-space. Survivors
+  // or promotions that spilled into a reserve leave that space full.
+  NurSpaces[NurCur].poison();
   NurCur = 1 - NurCur;
-  NurBase = NurSpaces[NurCur].get();
+  NurBase = NurSpaces[NurCur].begin();
   NurAlloc = NurToAlloc;
   NurEnd = std::max(NurBase + NurCapacityWords, NurAlloc);
   NurToBase = NurToAlloc = NurToEnd = NurToLimit = nullptr;
@@ -114,9 +107,7 @@ void GenHeap::endMinor() {
     TenCapacityWords = (size_t)(TenEnd - TenBase);
   }
   NurForwardBits.clear();
-  NurForwardBits.shrink_to_fit();
   NurPublishedBits.clear();
-  NurPublishedBits.shrink_to_fit();
   MinorActive = false;
 }
 
@@ -125,8 +116,9 @@ void GenHeap::beginMajor(size_t NewTenuredCapacityWords) {
   TenToCapacityWords =
       NewTenuredCapacityWords < 64 ? 64 : NewTenuredCapacityWords;
   size_t Reserve = evacuationReserveWords(TenToCapacityWords, GcWorkers);
-  TenTo = std::make_unique<Word[]>(TenToCapacityWords + Reserve);
-  TenToBase = TenToAlloc = TenTo.get();
+  SpaceBlock &To = TenSpaces[1 - TenCur];
+  To.reserve(TenToCapacityWords + Reserve);
+  TenToBase = TenToAlloc = To.begin();
   TenToEnd = TenToBase + TenToCapacityWords;
   TenToLimit = TenToEnd + Reserve;
   NurForwardBits.assign(((size_t)(NurEnd - NurBase) + 63) / 64, 0);
@@ -140,8 +132,9 @@ void GenHeap::beginMajor(size_t NewTenuredCapacityWords) {
 
 void GenHeap::endMajor() {
   assert(MajorActive);
-  Ten = std::move(TenTo);
-  TenBase = Ten.get();
+  TenSpaces[TenCur].poison();
+  TenCur = 1 - TenCur;
+  TenBase = TenSpaces[TenCur].begin();
   TenAlloc = TenToAlloc;
   // A spill into the reserve leaves tenured full; the rest of the reserve
   // stays behind the new end for the next minors' promotions.
@@ -153,16 +146,13 @@ void GenHeap::endMajor() {
   TenToCapacityWords = 0;
   // Every young survivor was evacuated into the tenured to-space, so the
   // nursery restarts empty.
+  NurSpaces[NurCur].poison();
   NurAlloc = NurBase;
   NurEnd = NurBase + NurCapacityWords;
   NurForwardBits.clear();
-  NurForwardBits.shrink_to_fit();
   TenForwardBits.clear();
-  TenForwardBits.shrink_to_fit();
   NurPublishedBits.clear();
-  NurPublishedBits.shrink_to_fit();
   TenPublishedBits.clear();
-  TenPublishedBits.shrink_to_fit();
   MajorActive = false;
 }
 
@@ -173,9 +163,9 @@ void GenHeap::growNursery(size_t MinWords) {
   while (NewWords < MinWords)
     NewWords *= 2;
   NurCapacityWords = NewWords;
-  allocateSemispace(0);
-  allocateSemispace(1);
+  NurSpaces[0].allocate(semispaceWords());
+  NurSpaces[1].allocate(semispaceWords());
   NurCur = 0;
-  NurBase = NurAlloc = NurSpaces[0].get();
+  NurBase = NurAlloc = NurSpaces[0].begin();
   NurEnd = NurBase + NurCapacityWords;
 }

@@ -21,12 +21,17 @@
 ///    tenured space (en-masse promotion); tenured objects do not move.
 ///
 ///  * A *major* collection evacuates the entire live graph — both
-///    regions — into a fresh tenured to-space, leaving the nursery empty.
+///    regions — into the idle half of a tenured pair, leaving the nursery
+///    empty. The old tenured space becomes the idle half.
+///
+/// Like Heap's semispaces, every space is allocated unzeroed and reused
+/// across collections; a space is reallocated only when it must grow
+/// (DESIGN.md section 6, "Space lifecycle").
 ///
 /// Forwarding without headers works exactly as in Heap: side bitmaps (one
-/// bit per word, alive only during a collection) over the nursery
-/// from-space and — during majors — the tenured space mark objects whose
-/// word 0 has been overwritten with the forwarding address.
+/// bit per word, cleared at every collection) over the nursery from-space
+/// and — during majors — the tenured space mark objects whose word 0 has
+/// been overwritten with the forwarding address.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +45,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -60,6 +64,7 @@ public:
     Word *P = NurAlloc;
     NurAlloc += Words;
     BytesAllocatedTotal += Words * sizeof(Word);
+    unpoisonWords(P, Words);
     return P;
   }
 
@@ -121,10 +126,12 @@ public:
   void endMinor();
 
   // -- Major collections ----------------------------------------------------
-  /// Starts a major collection into a fresh tenured to-space of
-  /// \p NewTenuredCapacityWords (the caller sizes it to at least the live
-  /// upper bound: nursery fill + tenured fill). Both regions evacuate, so
-  /// forwarding bitmaps cover the nursery and the tenured space.
+  /// Starts a major collection into the idle tenured half, with a capacity
+  /// of \p NewTenuredCapacityWords (the caller sizes it to at least the
+  /// live upper bound: nursery fill + tenured fill). The idle half is
+  /// reallocated only if it holds fewer words than that plus the
+  /// evacuation reserve. Both regions evacuate, so forwarding bitmaps
+  /// cover the nursery and the tenured space.
   void beginMajor(size_t NewTenuredCapacityWords);
 
   /// Evacuates any live object (young or old) into the tenured to-space.
@@ -133,9 +140,10 @@ public:
     return evacuationBump(TenToAlloc, TenToLimit, Words, "tenured to-space");
   }
 
-  /// Ends the major collection: the to-space becomes the tenured space
-  /// (full if parallel evacuation spilled into its reserve) and the
-  /// nursery is reset empty (every young survivor was evacuated old).
+  /// Ends the major collection: the tenured pair flips, so the to-space
+  /// becomes the tenured space (full if parallel evacuation spilled into
+  /// its reserve) and the old one the idle half, and the nursery is reset
+  /// empty (every young survivor was evacuated old).
   void endMajor();
 
   // -- Forwarding (region-dispatching) --------------------------------------
@@ -280,10 +288,8 @@ private:
   /// Words of one nursery semispace: the capacity plus its evacuation
   /// reserve.
   size_t semispaceWords() const;
-  /// (Re)allocates nursery semispace \p I at semispaceWords(); whatever
-  /// it held is dropped.
-  void allocateSemispace(int I);
-  /// (Re)allocates an empty tenured space with its evacuation reserve.
+  /// (Re)allocates an empty current tenured space with its evacuation
+  /// reserve.
   void allocateTenured();
 
   /// Published bitmap covering \p Obj (parallel collections only; empty
@@ -296,18 +302,19 @@ private:
     return nullptr;
   }
 
-  /// Nursery semispace pair; NurCur indexes the current from-space.
-  /// NurSpaceWords counts each one's words, evacuation reserve included.
-  std::unique_ptr<Word[]> NurSpaces[2];
-  size_t NurSpaceWords[2] = {0, 0};
+  /// Nursery semispace pair; NurCur indexes the current from-space. Each
+  /// block holds semispaceWords(), evacuation reserve included.
+  SpaceBlock NurSpaces[2];
   int NurCur = 0;
   Word *NurBase = nullptr, *NurAlloc = nullptr, *NurEnd = nullptr;
   Word *NurToBase = nullptr, *NurToAlloc = nullptr, *NurToEnd = nullptr;
   Word *NurToLimit = nullptr; ///< End of the to-space's reserve.
   size_t NurCapacityWords = 0;
 
-  std::unique_ptr<Word[]> Ten;   ///< Tenured space.
-  std::unique_ptr<Word[]> TenTo; ///< Only alive during a major collection.
+  /// Tenured pair; TenCur indexes the current tenured space. The other
+  /// half is idle between majors and the to-space during one.
+  SpaceBlock TenSpaces[2];
+  int TenCur = 0;
   Word *TenBase = nullptr, *TenAlloc = nullptr, *TenEnd = nullptr;
   Word *TenLimit = nullptr; ///< End of tenured's reserve (promotion).
   Word *TenToBase = nullptr, *TenToAlloc = nullptr, *TenToEnd = nullptr;

@@ -6,11 +6,17 @@
 /// the compiler-generated GC metadata, so the heap only provides raw
 /// allocation, space tests, and forwarding.
 ///
+/// The two semispaces are allocated once, unzeroed, and flipped at every
+/// collection: the old from-space becomes the idle half, and the next
+/// collection copies into it. A half is reallocated only when a
+/// collection needs more words than it holds (DESIGN.md section 6,
+/// "Space lifecycle").
+///
 /// Forwarding without headers: during a collection a side bitmap over
-/// from-space (one bit per word, alive only for the duration of the
-/// collection) marks objects whose word 0 has been overwritten with the
-/// forwarding address. The bitmap is the documented substitution for
-/// "check whether word 0 points into to-space" and is charged to the
+/// from-space (one bit per word, cleared at every collection; its storage
+/// is kept for the next) marks objects whose word 0 has been overwritten
+/// with the forwarding address. The bitmap is the documented substitution
+/// for "check whether word 0 points into to-space" and is charged to the
 /// collector in the space accounting.
 ///
 //===----------------------------------------------------------------------===//
@@ -25,7 +31,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -46,6 +51,7 @@ public:
     Word *P = Alloc;
     Alloc += Words;
     BytesAllocatedTotal += Words * sizeof(Word);
+    unpoisonWords(P, Words);
     return P;
   }
 
@@ -80,10 +86,11 @@ public:
   }
 
   // -- Collector interface --------------------------------------------------
-  /// Starts a collection into a fresh to-space of \p NewCapacityWords
-  /// (0 = keep the current capacity), plus the evacuation reserve when
-  /// parallel tracing is armed. From-space stays readable until
-  /// endCollection().
+  /// Starts a collection into the idle semispace, with a capacity of
+  /// \p NewCapacityWords (0 = keep the current capacity) plus the
+  /// evacuation reserve when parallel tracing is armed. The idle half is
+  /// reallocated only if it holds fewer words than that. From-space stays
+  /// readable until endCollection().
   void beginCollection(size_t NewCapacityWords = 0);
 
   /// Allocates in to-space during a serial phase of a collection. Aborts
@@ -175,9 +182,10 @@ public:
     return P >= (Word)(uintptr_t)Base && P < (Word)(uintptr_t)End;
   }
 
-  /// Discards from-space; to-space becomes the live space. A to-space
-  /// that parallel evacuation spilled into its reserve comes out full:
-  /// its capacity ends where the spill does.
+  /// Flips the pair: to-space becomes the live space and from-space the
+  /// idle half, every word of it free. A to-space that parallel
+  /// evacuation spilled into its reserve comes out full: its capacity
+  /// ends where the spill does.
   void endCollection();
 
   bool collecting() const { return Collecting; }
@@ -189,8 +197,10 @@ public:
   uint64_t survivorWords() const { return LastSurvivorWords; }
 
 private:
-  std::unique_ptr<Word[]> Space;   ///< Current (from-) space.
-  std::unique_ptr<Word[]> ToSpace; ///< Only alive during a collection.
+  /// The semispace pair; Cur indexes the current (from-) space. The
+  /// other half is idle between collections and the to-space during one.
+  SpaceBlock Spaces[2];
+  int Cur = 0;
   Word *Base = nullptr, *Alloc = nullptr, *End = nullptr;
   Word *ToBase = nullptr, *ToAlloc = nullptr, *ToEnd = nullptr;
   Word *ToLimit = nullptr; ///< End of to-space's evacuation reserve.

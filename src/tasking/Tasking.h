@@ -38,7 +38,6 @@ struct TaskingOptions {
   /// Round-robin slice, in instructions.
   uint32_t TimeSliceSteps = 256;
   uint64_t MaxTotalSteps = 2'000'000'000ull;
-  bool GcStress = false;
   /// Mutator fast-path configuration, shared by every task (the runtime
   /// decodes the program once and all task VMs execute the same stream).
   DispatchMode Dispatch = DispatchMode::Auto;

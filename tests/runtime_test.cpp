@@ -11,9 +11,49 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 using namespace tfgc;
 
 namespace {
+
+/// Blocks held until the end of a test, one the size of each space a heap
+/// may just have freed, so the allocator cannot hand that memory back as
+/// the heap's next space: a to-space base that repeats is one the heap
+/// kept.
+struct Pins {
+  std::vector<std::unique_ptr<Word[]>> Blocks;
+  void take(size_t Words) { Blocks.push_back(std::make_unique<Word[]>(Words)); }
+};
+
+/// Moves the two-word object \p Obj as a copying collection into a
+/// to-space of \p Capacity words (0 = the current capacity) would, and
+/// returns the to-space base, where the object lands.
+Word *collectOne(Heap &H, Word *&Obj, size_t Capacity, Pins &P) {
+  size_t FromWords = H.capacityBytes() / sizeof(Word);
+  H.beginCollection(Capacity);
+  Word *New = H.allocateInToSpace(2);
+  std::memcpy(New, Obj, 2 * sizeof(Word));
+  H.setForwarded(Obj, (Word)(uintptr_t)New);
+  H.endCollection();
+  P.take(FromWords);
+  Obj = New;
+  return New;
+}
+
+/// The same over a major collection of \p H.
+Word *majorOne(GenHeap &H, Word *&Obj, size_t Capacity, Pins &P) {
+  size_t FromWords = H.tenuredCapacityWords();
+  H.beginMajor(Capacity);
+  Word *New = H.allocateInToSpace(2);
+  std::memcpy(New, Obj, 2 * sizeof(Word));
+  H.setForwarded(Obj, (Word)(uintptr_t)New);
+  H.endMajor();
+  P.take(FromWords);
+  Obj = New;
+  return New;
+}
 
 TEST(Heap, AllocateUntilFull) {
   Heap H(1024); // 128 words
@@ -66,6 +106,98 @@ TEST(Heap, HugeRequestDoesNotOverflow) {
   EXPECT_EQ(H.tryAllocate(SIZE_MAX), nullptr);
   EXPECT_EQ(H.tryAllocate(SIZE_MAX / sizeof(Word)), nullptr);
   EXPECT_NE(H.tryAllocate(8), nullptr);
+}
+
+TEST(Heap, FlipReusesTheSemispacePair) {
+  Heap H(512);
+  Word *Obj = H.tryAllocate(2);
+  Obj[0] = 5;
+  Obj[1] = 6;
+  Word *First = Obj; // The constructor's space.
+  Pins P;
+  Word *Second = collectOne(H, Obj, 0, P);
+  EXPECT_NE(Second, First);
+  // At a fixed capacity every collection copies into the other half.
+  for (int I = 0; I < 3; ++I) {
+    SCOPED_TRACE(I);
+    EXPECT_EQ(collectOne(H, Obj, 0, P), I % 2 ? Second : First);
+  }
+  EXPECT_EQ(Obj[0], 5u);
+  EXPECT_EQ(Obj[1], 6u);
+  EXPECT_EQ(H.usedBytes(), 2 * sizeof(Word));
+  EXPECT_EQ(H.capacityBytes(), 512u);
+}
+
+TEST(Heap, GrowthReallocatesOnlyTheSpaceThatMustGrow) {
+  Heap H(512); // 64 words
+  Word *Obj = H.tryAllocate(2);
+  Obj[0] = 5;
+  Obj[1] = 6;
+  Word *A = Obj;
+  Pins P;
+  Word *B = collectOne(H, Obj, 0, P);
+  EXPECT_NE(B, A);
+  EXPECT_EQ(collectOne(H, Obj, 0, P), A);
+  // Growing to 128 words: the idle half B is too small and is replaced;
+  // from-space A keeps the live object until the flip.
+  Word *C = collectOne(H, Obj, 128, P);
+  EXPECT_NE(C, A);
+  EXPECT_EQ(H.capacityBytes(), 128 * sizeof(Word));
+  // Now A is the idle half, still 64 words: it must grow too.
+  Word *D = collectOne(H, Obj, 0, P);
+  EXPECT_NE(D, C);
+  // Both halves hold 128 words, so the pair flips again, and a half that
+  // holds more than a collection asks for is kept.
+  EXPECT_EQ(collectOne(H, Obj, 0, P), C);
+  EXPECT_EQ(collectOne(H, Obj, 0, P), D);
+  EXPECT_EQ(collectOne(H, Obj, 64, P), C);
+  EXPECT_EQ(H.capacityBytes(), 64 * sizeof(Word));
+  // Armed parallel evacuation asks for a reserve on top of the capacity,
+  // more than a 128-word half holds: the idle half D is replaced.
+  H.setParallelTracing(2);
+  ASSERT_GT(64 + evacuationReserveWords(64, 2), 128u);
+  Word *E = collectOne(H, Obj, 64, P);
+  EXPECT_NE(E, D);
+  EXPECT_NE(E, C);
+  EXPECT_EQ(Obj[0], 5u);
+  EXPECT_EQ(Obj[1], 6u);
+}
+
+TEST(HeapDeathTest, ReadingASpaceAfterItsCollectionReports) {
+  // The heaps reuse their spaces instead of freeing them, so a read of a
+  // from-space after its collection would see stale words silently; the
+  // poisoning keeps it an AddressSanitizer report.
+  if (!PoisonsFreeWords)
+    GTEST_SKIP() << "free words are poisoned only under AddressSanitizer";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Pins P;
+  Heap H(512);
+  Word *Obj = H.tryAllocate(2);
+  Obj[0] = 5;
+  Obj[1] = 6;
+  volatile Word *Old = Obj;
+  Word *New = collectOne(H, Obj, 0, P);
+  EXPECT_EQ(New[1], 6u);
+  EXPECT_DEATH((void)Old[1], "use-after-poison");
+  // The free tail after the survivor is poisoned too.
+  volatile Word *Tail = New + 2;
+  EXPECT_DEATH((void)*Tail, "use-after-poison");
+
+  GenHeap G(1024, 512);
+  Word *Young = G.tryAllocate(2);
+  Young[0] = 7;
+  Young[1] = 8;
+  volatile Word *OldYoung = Young;
+  G.beginMinor();
+  Word *Ten = G.allocateInTenured(2);
+  std::memcpy(Ten, Young, 2 * sizeof(Word));
+  G.setForwarded(Young, (Word)(uintptr_t)Ten);
+  G.endMinor();
+  EXPECT_DEATH((void)OldYoung[0], "use-after-poison");
+  volatile Word *OldTen = Ten;
+  majorOne(G, Ten, 64, P);
+  EXPECT_EQ(Ten[1], 8u);
+  EXPECT_DEATH((void)OldTen[1], "use-after-poison");
 }
 
 TEST(MarkSweep, AllocateSweepReuse) {
@@ -251,6 +383,33 @@ TEST(GenHeap, GrowNurseryDoubles) {
   EXPECT_EQ(H.nurseryUsedWords(), 0u);
   Word *P = H.tryAllocate(300);
   EXPECT_NE(P, nullptr);
+}
+
+TEST(GenHeap, MajorsFlipTheTenuredPair) {
+  GenHeap H(1024, 512); // 128 tenured words, 64 nursery words
+  Word *Young = H.tryAllocate(2);
+  Young[0] = 7;
+  Young[1] = 8;
+  H.beginMinor();
+  Word *Obj = H.allocateInTenured(2);
+  std::memcpy(Obj, Young, 2 * sizeof(Word));
+  H.setForwarded(Young, (Word)(uintptr_t)Obj);
+  H.endMinor();
+  Word *First = Obj; // The constructor's tenured space.
+  Pins P;
+  Word *Second = majorOne(H, Obj, 64, P);
+  EXPECT_NE(Second, First);
+  // Each major copies into the other half; the 128-word constructor
+  // space is kept for a 64-word capacity.
+  for (int I = 0; I < 3; ++I) {
+    SCOPED_TRACE(I);
+    EXPECT_EQ(majorOne(H, Obj, 64, P), I % 2 ? Second : First);
+  }
+  EXPECT_EQ(H.tenuredCapacityWords(), 64u);
+  EXPECT_EQ(H.tenuredUsedWords(), 2u);
+  EXPECT_EQ(H.nurseryUsedWords(), 0u);
+  EXPECT_EQ(Obj[0], 7u);
+  EXPECT_EQ(Obj[1], 8u);
 }
 
 TEST(Value, TagRoundTrip) {

@@ -49,9 +49,9 @@ import sys
 # behavior produces different numbers every run, so they are excluded
 # from the bit-identical contract. The monitor's utilization ratios
 # (mon.mmu_*_ppm, mon.mutator_fraction_ppm) are pause time over wall
-# time.
+# time, and its heartbeat count is wall time over the heartbeat period.
 TIME_COUNTER_MARKERS = ("_ns", "pause_ns", "wall_ms", "mon.mmu_",
-                        "mon.mutator_fraction")
+                        "mon.mutator_fraction", "mon.heartbeats")
 
 
 def is_time_counter(name):
