@@ -135,6 +135,18 @@ public:
   Word *tryAllocatePayload(size_t PayloadWords, ObjKind Kind,
                            Tlab *T = nullptr, StatsShard *Sh = nullptr);
 
+  /// The bump region the mutator allocates from: the copying heap's
+  /// current semispace or the generational nursery; null under
+  /// mark-sweep, whose free lists only tryAllocatePayload() serves. The
+  /// sequential VM bumps it inline and counts heap.objects_allocated
+  /// itself, so tryAllocatePayload() stays the slow path (DESIGN.md
+  /// section 9).
+  BumpRegion *mutatorRegion() {
+    return Copying ? &Copying->mutatorRegion()
+           : Gen   ? &Gen->nurseryRegion()
+                   : nullptr;
+  }
+
   /// Number of GC worker threads for the trace phase (1 = serial, the
   /// default). Arms the heaps' claim/publish protocol when > 1. Call
   /// before the first collection.

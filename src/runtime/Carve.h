@@ -1,11 +1,13 @@
 //===- runtime/Carve.h - Chunks off a shared bump cursor --------*- C++ -*-===//
 ///
 /// \file
-/// Every concurrent allocation in the bump heaps takes a chunk off a shared
-/// cursor through carve(): mutator threads carve TLABs (sched/Tlab.h) and
-/// parallel GC workers carve copy buffers (CopyBuffer below). Both then
-/// bump privately inside their chunk, so the cursor's cache line moves
-/// between cores once per chunk instead of once per object.
+/// Every allocation in the bump heaps goes through this file. A sequential
+/// mutator bumps the heap's BumpRegion one object at a time. Every
+/// concurrent allocation takes a chunk off a shared cursor through
+/// carve(): mutator threads carve TLABs (sched/Tlab.h) and parallel GC
+/// workers carve copy buffers (CopyBuffer below). Both then bump privately
+/// inside their chunk, so the cursor's cache line moves between cores once
+/// per chunk instead of once per object.
 ///
 /// The cursors bump through SpaceBlocks: unzeroed blocks that the heaps
 /// keep in pairs and flip at each collection instead of freeing
@@ -96,6 +98,34 @@ public:
 private:
   std::unique_ptr<Word[]> Mem;
   size_t Size = 0;
+};
+
+/// The mutator's allocation region of a bump heap: the copying heap's
+/// current semispace or the generational nursery. Heap::tryAllocate,
+/// GenHeap::tryAllocate and the sequential VM's inline allocation
+/// (vm/VmExec.inc) all take their words through tryBump(), and TLAB refills
+/// carve() off the same cursor, so BytesAllocated counts every word the
+/// mutator was handed.
+struct BumpRegion {
+  Word *Cursor = nullptr;
+  Word *End = nullptr;
+  /// Bytes handed out over the heap's lifetime (TLAB chunks whole).
+  uint64_t BytesAllocated = 0;
+
+  /// Bumps \p Words off the region; nullptr when they do not fit, so an
+  /// empty region (Cursor == End) misses every request. The check
+  /// compares against the words left: computing `Cursor + Words` first
+  /// would form a past-the-end pointer (UB) for an adversarially large
+  /// \p Words.
+  Word *tryBump(size_t Words) {
+    if (Words > (size_t)(End - Cursor))
+      return nullptr;
+    Word *P = Cursor;
+    Cursor += Words;
+    BytesAllocated += Words * sizeof(Word);
+    unpoisonWords(P, Words);
+    return P;
+  }
 };
 
 /// Carves a chunk off the shared bump cursor \p Cursor with one CAS,

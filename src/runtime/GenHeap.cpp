@@ -17,8 +17,8 @@ GenHeap::GenHeap(size_t TenuredBytes, size_t NurseryBytes) {
   NurCapacityWords = clampWords(NurseryBytes);
   NurSpaces[0].allocate(semispaceWords());
   NurSpaces[1].allocate(semispaceWords());
-  NurBase = NurAlloc = NurSpaces[0].begin();
-  NurEnd = NurBase + NurCapacityWords;
+  NurBase = Nur.Cursor = NurSpaces[0].begin();
+  Nur.End = NurBase + NurCapacityWords;
 
   TenCapacityWords = clampWords(TenuredBytes);
   allocateTenured();
@@ -73,8 +73,8 @@ void GenHeap::setParallelTracing(unsigned Workers) {
   NurSpaces[1 - NurCur].allocate(semispaceWords());
   if (NurseryEmpty) {
     NurSpaces[NurCur].allocate(semispaceWords());
-    NurBase = NurAlloc = NurSpaces[NurCur].begin();
-    NurEnd = NurBase + NurCapacityWords;
+    NurBase = Nur.Cursor = NurSpaces[NurCur].begin();
+    Nur.End = NurBase + NurCapacityWords;
   }
 }
 
@@ -85,7 +85,8 @@ void GenHeap::beginMinor() {
   NurToBase = NurToAlloc = To.begin();
   NurToEnd = NurToBase + NurCapacityWords;
   NurToLimit = NurToBase + To.words();
-  NurForwardBits.assign(((size_t)(NurEnd - NurBase) + 63) / 64, 0);
+  // Only the used words of a region can hold an object to forward.
+  NurForwardBits.assign((nurseryUsedWords() + 63) / 64, 0);
   if (GcWorkers)
     NurPublishedBits.assign(NurForwardBits.size(), 0);
   MinorActive = true;
@@ -99,8 +100,8 @@ void GenHeap::endMinor() {
   NurSpaces[NurCur].poison();
   NurCur = 1 - NurCur;
   NurBase = NurSpaces[NurCur].begin();
-  NurAlloc = NurToAlloc;
-  NurEnd = std::max(NurBase + NurCapacityWords, NurAlloc);
+  Nur.Cursor = NurToAlloc;
+  Nur.End = std::max(NurBase + NurCapacityWords, Nur.Cursor);
   NurToBase = NurToAlloc = NurToEnd = NurToLimit = nullptr;
   if (TenAlloc > TenEnd) {
     TenEnd = TenAlloc;
@@ -121,8 +122,8 @@ void GenHeap::beginMajor(size_t NewTenuredCapacityWords) {
   TenToBase = TenToAlloc = To.begin();
   TenToEnd = TenToBase + TenToCapacityWords;
   TenToLimit = TenToEnd + Reserve;
-  NurForwardBits.assign(((size_t)(NurEnd - NurBase) + 63) / 64, 0);
-  TenForwardBits.assign((TenCapacityWords + 63) / 64, 0);
+  NurForwardBits.assign((nurseryUsedWords() + 63) / 64, 0);
+  TenForwardBits.assign((tenuredUsedWords() + 63) / 64, 0);
   if (GcWorkers) {
     NurPublishedBits.assign(NurForwardBits.size(), 0);
     TenPublishedBits.assign(TenForwardBits.size(), 0);
@@ -147,8 +148,8 @@ void GenHeap::endMajor() {
   // Every young survivor was evacuated into the tenured to-space, so the
   // nursery restarts empty.
   NurSpaces[NurCur].poison();
-  NurAlloc = NurBase;
-  NurEnd = NurBase + NurCapacityWords;
+  Nur.Cursor = NurBase;
+  Nur.End = NurBase + NurCapacityWords;
   NurForwardBits.clear();
   TenForwardBits.clear();
   NurPublishedBits.clear();
@@ -166,6 +167,6 @@ void GenHeap::growNursery(size_t MinWords) {
   NurSpaces[0].allocate(semispaceWords());
   NurSpaces[1].allocate(semispaceWords());
   NurCur = 0;
-  NurBase = NurAlloc = NurSpaces[0].begin();
-  NurEnd = NurBase + NurCapacityWords;
+  NurBase = Nur.Cursor = NurSpaces[0].begin();
+  Nur.End = NurBase + NurCapacityWords;
 }

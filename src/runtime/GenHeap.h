@@ -28,10 +28,16 @@
 /// across collections; a space is reallocated only when it must grow
 /// (DESIGN.md section 6, "Space lifecycle").
 ///
-/// Forwarding without headers works exactly as in Heap: side bitmaps (one
-/// bit per word, cleared at every collection) over the nursery from-space
-/// and — during majors — the tenured space mark objects whose word 0 has
-/// been overwritten with the forwarding address.
+/// The mutator allocates from the nursery's BumpRegion (runtime/Carve.h):
+/// tryAllocate() bumps it, and so does the sequential VM inline, without a
+/// call (DESIGN.md section 9).
+///
+/// Forwarding without headers works exactly as in Heap: side bitmaps over
+/// the nursery from-space and — during majors — the tenured space mark
+/// objects whose word 0 has been overwritten with the forwarding address.
+/// Each holds one bit per used word of its region, cleared at every
+/// collection, so a major of a large, nearly empty tenured space clears
+/// only what its objects span.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,15 +64,13 @@ public:
   /// Allocates \p Words words in the nursery; nullptr when the nursery is
   /// full (the caller collects, or grows the nursery for a request larger
   /// than its capacity).
-  Word *tryAllocate(size_t Words) {
-    if (Words > (size_t)(NurEnd - NurAlloc))
-      return nullptr;
-    Word *P = NurAlloc;
-    NurAlloc += Words;
-    BytesAllocatedTotal += Words * sizeof(Word);
-    unpoisonWords(P, Words);
-    return P;
-  }
+  Word *tryAllocate(size_t Words) { return Nur.tryBump(Words); }
+
+  /// The nursery's allocation region, [cursor, end). The sequential VM
+  /// bumps it inline (vm/VmExec.inc) and calls tryAllocate() only on a
+  /// miss; the region object stays put across minors, majors and nursery
+  /// growth, only its bounds move.
+  BumpRegion &nurseryRegion() { return Nur; }
 
   /// Carves a per-thread TLAB chunk off the nursery cursor (see
   /// Heap::refillTlab for the contract). The nursery is the only
@@ -74,11 +78,11 @@ public:
   /// allocation slow path for the generational algorithm.
   bool refillTlab(size_t MinWords, size_t PreferredWords, Word *&OutTop,
                   Word *&OutEnd) {
-    if (!carve(NurAlloc, NurEnd, NurEnd, MinWords,
+    if (!carve(Nur.Cursor, Nur.End, Nur.End, MinWords,
                [PreferredWords](size_t) { return PreferredWords; }, OutTop,
                OutEnd))
       return false;
-    std::atomic_ref<uint64_t>(BytesAllocatedTotal)
+    std::atomic_ref<uint64_t>(Nur.BytesAllocated)
         .fetch_add((size_t)(OutEnd - OutTop) * sizeof(Word),
                    std::memory_order_relaxed);
     return true;
@@ -89,7 +93,7 @@ public:
   /// generation). During a collection this still refers to the space being
   /// evacuated; the semispace flip happens at endMinor().
   bool inNursery(Word P) const {
-    return P >= (Word)(uintptr_t)NurBase && P < (Word)(uintptr_t)NurEnd;
+    return P >= (Word)(uintptr_t)NurBase && P < (Word)(uintptr_t)Nur.End;
   }
   bool inTenured(Word P) const {
     return P >= (Word)(uintptr_t)TenBase && P < (Word)(uintptr_t)TenEnd;
@@ -254,18 +258,22 @@ public:
   /// spilled into its reserve reaches past it until the major that
   /// follows; capacityBytes() counts the spill.
   size_t nurseryCapacityWords() const { return NurCapacityWords; }
-  size_t nurseryUsedWords() const { return (size_t)(NurAlloc - NurBase); }
-  size_t nurseryFreeWords() const { return (size_t)(NurEnd - NurAlloc); }
+  size_t nurseryUsedWords() const { return (size_t)(Nur.Cursor - NurBase); }
+  size_t nurseryFreeWords() const { return (size_t)(Nur.End - Nur.Cursor); }
   size_t tenuredCapacityWords() const { return TenCapacityWords; }
   size_t tenuredUsedWords() const { return (size_t)(TenAlloc - TenBase); }
   size_t tenuredFreeWords() const { return (size_t)(TenEnd - TenAlloc); }
   size_t capacityBytes() const {
-    return ((size_t)(NurEnd - NurBase) + TenCapacityWords) * sizeof(Word);
+    return ((size_t)(Nur.End - NurBase) + TenCapacityWords) * sizeof(Word);
   }
   size_t usedBytes() const {
     return (nurseryUsedWords() + tenuredUsedWords()) * sizeof(Word);
   }
-  uint64_t bytesAllocatedTotal() const { return BytesAllocatedTotal; }
+  uint64_t bytesAllocatedTotal() const { return Nur.BytesAllocated; }
+  /// Bytes of the forwarding bitmaps the current collection cleared.
+  size_t forwardBitmapBytes() const {
+    return (NurForwardBits.size() + TenForwardBits.size()) * 8;
+  }
   bool collecting() const { return MinorActive || MajorActive; }
 
 private:
@@ -273,7 +281,7 @@ private:
   /// or nullptr for an address outside both regions.
   const std::vector<uint64_t> *forwardBitsFor(const Word *Obj,
                                               size_t &Index) const {
-    if (Obj >= NurBase && Obj < NurEnd) {
+    if (Obj >= NurBase && Obj < Nur.End) {
       Index = (size_t)(Obj - NurBase);
       return &NurForwardBits;
     }
@@ -295,7 +303,7 @@ private:
   /// Published bitmap covering \p Obj (parallel collections only; empty
   /// vectors otherwise), or nullptr outside both regions.
   std::vector<uint64_t> *publishedBitsFor(const Word *Obj) {
-    if (Obj >= NurBase && Obj < NurEnd)
+    if (Obj >= NurBase && Obj < Nur.End)
       return &NurPublishedBits;
     if (Obj >= TenBase && Obj < TenEnd)
       return &TenPublishedBits;
@@ -306,7 +314,10 @@ private:
   /// block holds semispaceWords(), evacuation reserve included.
   SpaceBlock NurSpaces[2];
   int NurCur = 0;
-  Word *NurBase = nullptr, *NurAlloc = nullptr, *NurEnd = nullptr;
+  Word *NurBase = nullptr;
+  /// The nursery from-space's [cursor, end) and the lifetime allocation
+  /// total.
+  BumpRegion Nur;
   Word *NurToBase = nullptr, *NurToAlloc = nullptr, *NurToEnd = nullptr;
   Word *NurToLimit = nullptr; ///< End of the to-space's reserve.
   size_t NurCapacityWords = 0;
@@ -331,7 +342,6 @@ private:
   unsigned GcWorkers = 0; ///< Parallel evacuation workers; 0 = serial.
   bool MinorActive = false;
   bool MajorActive = false;
-  uint64_t BytesAllocatedTotal = 0;
 };
 
 } // namespace tfgc

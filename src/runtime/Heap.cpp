@@ -9,8 +9,8 @@ Heap::Heap(size_t CapacityBytes) {
   if (CapacityWords < 64)
     CapacityWords = 64;
   Spaces[Cur].allocate(CapacityWords);
-  Base = Alloc = Spaces[Cur].begin();
-  End = Base + CapacityWords;
+  Base = Mut.Cursor = Spaces[Cur].begin();
+  Mut.End = Base + CapacityWords;
 }
 
 void Heap::beginCollection(size_t NewCapacityWords) {
@@ -22,7 +22,9 @@ void Heap::beginCollection(size_t NewCapacityWords) {
   ToBase = ToAlloc = To.begin();
   ToEnd = ToBase + ToCapacityWords;
   ToLimit = ToEnd + Reserve;
-  ForwardBits.assign((CapacityWords + 63) / 64, 0);
+  // Only the used words [Base, cursor) can hold an object to forward, so
+  // the bitmap covers those, not the whole capacity.
+  ForwardBits.assign(((size_t)(Mut.Cursor - Base) + 63) / 64, 0);
   if (GcWorkers)
     PublishedBits.assign(ForwardBits.size(), 0);
   Collecting = true;
@@ -34,11 +36,11 @@ void Heap::endCollection() {
   Spaces[Cur].poison();
   Cur = 1 - Cur;
   Base = Spaces[Cur].begin();
-  Alloc = ToAlloc;
+  Mut.Cursor = ToAlloc;
   // A parallel evacuation that spilled into the reserve leaves the space
   // full: the spill joins the capacity, so contains() covers it.
   CapacityWords = std::max(ToCapacityWords, (size_t)LastSurvivorWords);
-  End = Base + CapacityWords;
+  Mut.End = Base + CapacityWords;
   ForwardBits.clear();
   PublishedBits.clear();
   Collecting = false;

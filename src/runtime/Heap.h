@@ -12,12 +12,19 @@
 /// collection needs more words than it holds (DESIGN.md section 6,
 /// "Space lifecycle").
 ///
+/// The mutator allocates from the current space's BumpRegion
+/// (runtime/Carve.h): tryAllocate() bumps it, and so does the sequential
+/// VM inline, without a call (DESIGN.md section 9). Either way the words
+/// land in bytesAllocatedTotal().
+///
 /// Forwarding without headers: during a collection a side bitmap over
-/// from-space (one bit per word, cleared at every collection; its storage
-/// is kept for the next) marks objects whose word 0 has been overwritten
-/// with the forwarding address. The bitmap is the documented substitution
-/// for "check whether word 0 points into to-space" and is charged to the
-/// collector in the space accounting.
+/// from-space marks objects whose word 0 has been overwritten with the
+/// forwarding address. It holds one bit per *used* word — only
+/// [base, cursor) holds objects — so clearing it costs what the live
+/// allocation spans, not the capacity; its storage is kept for the next
+/// collection. The bitmap is the documented substitution for "check
+/// whether word 0 points into to-space" and is charged to the collector in
+/// the space accounting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,18 +49,13 @@ public:
 
   // -- Mutator interface ---------------------------------------------------
   /// Allocates \p Words words; returns nullptr when the space is full.
-  /// The check compares against the remaining word count — computing
-  /// `Alloc + Words` first would form a past-the-end pointer (UB) for
-  /// adversarially large \p Words.
-  Word *tryAllocate(size_t Words) {
-    if (Words > (size_t)(End - Alloc))
-      return nullptr;
-    Word *P = Alloc;
-    Alloc += Words;
-    BytesAllocatedTotal += Words * sizeof(Word);
-    unpoisonWords(P, Words);
-    return P;
-  }
+  Word *tryAllocate(size_t Words) { return Mut.tryBump(Words); }
+
+  /// The current space's allocation region, [cursor, end). The sequential
+  /// VM bumps it inline (vm/VmExec.inc) and calls tryAllocate() only on a
+  /// miss; the region object stays put across flips and growth, only its
+  /// bounds move.
+  BumpRegion &mutatorRegion() { return Mut; }
 
   /// Carves a TLAB chunk of at least \p MinWords (and preferably
   /// \p PreferredWords) off the shared allocation cursor (runtime/Carve.h),
@@ -66,23 +68,25 @@ public:
   /// through TLABs.
   bool refillTlab(size_t MinWords, size_t PreferredWords, Word *&OutTop,
                   Word *&OutEnd) {
-    if (!carve(Alloc, End, End, MinWords,
+    if (!carve(Mut.Cursor, Mut.End, Mut.End, MinWords,
                [PreferredWords](size_t) { return PreferredWords; }, OutTop,
                OutEnd))
       return false;
-    std::atomic_ref<uint64_t>(BytesAllocatedTotal)
+    std::atomic_ref<uint64_t>(Mut.BytesAllocated)
         .fetch_add((size_t)(OutEnd - OutTop) * sizeof(Word),
                    std::memory_order_relaxed);
     return true;
   }
 
   size_t capacityBytes() const { return CapacityWords * sizeof(Word); }
-  size_t usedBytes() const { return (size_t)(Alloc - Base) * sizeof(Word); }
-  size_t freeWords() const { return (size_t)(End - Alloc); }
-  uint64_t bytesAllocatedTotal() const { return BytesAllocatedTotal; }
+  size_t usedBytes() const {
+    return (size_t)(Mut.Cursor - Base) * sizeof(Word);
+  }
+  size_t freeWords() const { return (size_t)(Mut.End - Mut.Cursor); }
+  uint64_t bytesAllocatedTotal() const { return Mut.BytesAllocated; }
 
   bool contains(Word P) const {
-    return P >= (Word)(uintptr_t)Base && P < (Word)(uintptr_t)End;
+    return P >= (Word)(uintptr_t)Base && P < (Word)(uintptr_t)Mut.End;
   }
 
   // -- Collector interface --------------------------------------------------
@@ -179,7 +183,7 @@ public:
 
   /// True while collecting and P points into from-space.
   bool inFromSpace(Word P) const {
-    return P >= (Word)(uintptr_t)Base && P < (Word)(uintptr_t)End;
+    return P >= (Word)(uintptr_t)Base && P < (Word)(uintptr_t)Mut.End;
   }
 
   /// Flips the pair: to-space becomes the live space and from-space the
@@ -201,7 +205,9 @@ private:
   /// other half is idle between collections and the to-space during one.
   SpaceBlock Spaces[2];
   int Cur = 0;
-  Word *Base = nullptr, *Alloc = nullptr, *End = nullptr;
+  Word *Base = nullptr;
+  /// The current space's [cursor, end) and the lifetime allocation total.
+  BumpRegion Mut;
   Word *ToBase = nullptr, *ToAlloc = nullptr, *ToEnd = nullptr;
   Word *ToLimit = nullptr; ///< End of to-space's evacuation reserve.
   size_t CapacityWords = 0;
@@ -212,7 +218,6 @@ private:
   std::vector<uint64_t> PublishedBits;
   unsigned GcWorkers = 0; ///< Parallel evacuation workers; 0 = serial.
   bool Collecting = false;
-  uint64_t BytesAllocatedTotal = 0;
   uint64_t LastSurvivorWords = 0;
 };
 

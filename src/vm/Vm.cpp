@@ -29,6 +29,11 @@ Vm::Vm(const IrProgram &Prog, const CodeImage &Img, TypeContext &Types,
   FlightR = this->Opts.Flight;
   CountCallChecks = this->Opts.Checks == SuspendChecks::AtEveryCall;
   SelfTagFloats = Model == ValueModel::Tagged && this->Opts.FloatSelfTag;
+  HeaderWords = Model == ValueModel::Tagged ? 1 : 0;
+  Roots.Stacks.push_back(&Stack);
+  if (!this->Opts.GcStress && this->Opts.Checks == SuspendChecks::None)
+    if (BumpRegion *R = Col.mutatorRegion())
+      Region = R;
 
   DecodeConfig DC;
   DC.Model = Model;
@@ -135,8 +140,6 @@ Word *Vm::allocate(size_t PayloadWords, ObjKind Kind, CallSiteId Site,
     return nullptr;
   }
 
-  RootSet Roots;
-  Roots.Stacks.push_back(&Stack);
   if (Opts.GcStress) {
     flushHotCounters();
     Col.collect(Roots, PayloadWords);
@@ -274,6 +277,10 @@ void Vm::flushHotCounters() {
   SuspendChecksRun = 0;
   Shard->add(StatId::GcBarrierOps, BarrierOps);
   BarrierOps = 0;
+  if (InlineObjects) { // Untouched by a run that never allocates.
+    Shard->add(StatId::HeapObjectsAllocated, InlineObjects);
+    InlineObjects = 0;
+  }
   if (RemsetEntries) { // Absent until the first entry, as before sharding.
     Shard->add(StatId::GcRemsetEntries, RemsetEntries);
     RemsetEntries = 0;

@@ -138,6 +138,9 @@ class Vm {
 public:
   Vm(const IrProgram &Prog, const CodeImage &Img, TypeContext &Types,
      Collector &Col, VmOptions Opts = {});
+  /// The root set and the inline allocation region point into the VM.
+  Vm(const Vm &) = delete;
+  Vm &operator=(const Vm &) = delete;
 
   RunResult run();
 
@@ -213,6 +216,8 @@ private:
   StatsShard *Shard = nullptr;
 
   TaskStack Stack;
+  /// The slow path's roots: this VM's one stack (sequential runs only).
+  RootSet Roots;
   uint32_t SlotTop = 0;
   std::string Output;
   std::string Error;
@@ -233,6 +238,9 @@ private:
   uint64_t BarrierOps = 0;
   /// Remembered-set entries this VM's stores buffered (gc.remset_entries).
   uint64_t RemsetEntries = 0;
+  /// Objects the inline allocation path handed out since the last flush
+  /// (heap.objects_allocated; the slow path counts in the collector).
+  uint64_t InlineObjects = 0;
   /// Superinstructions executed (vm.superinstructions_executed).
   uint64_t SuperExec = 0;
   /// Frame-reusing self tail calls taken (vm.tail_calls).
@@ -260,6 +268,15 @@ private:
   /// Cached Opts.Flight for the dispatch loops.
   FlightRing *FlightR = nullptr;
 
+  /// What EXEC_ALLOC bumps inline: the collector's mutator region when an
+  /// allocation needs nothing else (no stress collection, no tasking
+  /// suspension check, a bump heap), else NoRegion, which is empty, so
+  /// every allocation misses and takes allocate().
+  BumpRegion *Region = &NoRegion;
+  BumpRegion NoRegion;
+  /// Header words per object: 1 under the tagged model, else 0.
+  uint32_t HeaderWords = 0;
+
   /// The two dispatch loops, generated from vm/VmExec.inc. The threaded
   /// loop doubles as the label-table exporter: called with \p TableOut it
   /// returns the handler address table without executing (in non-threaded
@@ -271,10 +288,26 @@ private:
 
   void pushFrame(FuncId Callee, const Word *Args, unsigned NumArgs,
                  bool HasSelf, Word Self, SlotIndex CallerDst);
-  /// Allocates through the collector, recording the pending site and
-  /// collecting when needed. Returns the payload or null on OOM.
+  /// The allocation slow path: allocates through the collector, recording
+  /// the pending site and collecting when needed. Returns the payload, or
+  /// null on OOM or a tasking GC block.
   Word *allocate(size_t PayloadWords, ObjKind Kind, CallSiteId Site,
                  uint32_t FrameIdx);
+
+  /// The inline fast path (EXEC_ALLOC): one bump of Region, the tagged
+  /// header, the object count. Null on a miss, which allocate() takes
+  /// over. Nothing can move here, so no frame needs its pending site.
+  Word *bumpAllocate(size_t PayloadWords, ObjKind Kind, CallSiteId Site) {
+    Word *P = Region->tryBump(PayloadWords + HeaderWords);
+    if (!P) [[unlikely]]
+      return nullptr;
+    ++InlineObjects;
+    if (HeaderWords) {
+      P[0] = makeHeader((uint32_t)PayloadWords, Kind);
+      ++P;
+    }
+    return finishAlloc(P, Site);
+  }
 
   /// Every successful allocation funnels through here; with a heap
   /// profiler attached it logs (site, address) for allocation-site

@@ -163,6 +163,21 @@ TEST(Heap, GrowthReallocatesOnlyTheSpaceThatMustGrow) {
   EXPECT_EQ(Obj[1], 6u);
 }
 
+TEST(Heap, ForwardBitmapCoversOnlyTheUsedWords) {
+  // Only [base, cursor) holds objects, so a 32 MiB heap holding 1 KiB
+  // clears a 16-byte bitmap at a collection, not one bit per word of its
+  // capacity (512 KiB).
+  Heap H(32 << 20);
+  ASSERT_NE(H.tryAllocate(128), nullptr);
+  H.beginCollection();
+  EXPECT_EQ(H.forwardBitmapBytes(), 16u);
+  H.endCollection();
+  // Nothing survived: the next collection's bitmap is empty.
+  H.beginCollection();
+  EXPECT_EQ(H.forwardBitmapBytes(), 0u);
+  H.endCollection();
+}
+
 TEST(HeapDeathTest, ReadingASpaceAfterItsCollectionReports) {
   // The heaps reuse their spaces instead of freeing them, so a read of a
   // from-space after its collection would see stale words silently; the
@@ -410,6 +425,23 @@ TEST(GenHeap, MajorsFlipTheTenuredPair) {
   EXPECT_EQ(H.nurseryUsedWords(), 0u);
   EXPECT_EQ(Obj[0], 7u);
   EXPECT_EQ(Obj[1], 8u);
+}
+
+TEST(GenHeap, ForwardBitmapsCoverOnlyTheUsedWords) {
+  // A 32 MiB tenured space holding 1 KiB: a major clears bitmaps over the
+  // used words of both regions, 128 tenured and 64 nursery words, not
+  // 512 KiB over the tenured capacity.
+  GenHeap H(32 << 20, 4096); // 512 nursery words
+  ASSERT_NE(H.tryAllocate(128), nullptr);
+  H.beginMinor();
+  EXPECT_EQ(H.forwardBitmapBytes(), 16u); // The nursery's alone.
+  Word *Old = H.allocateInTenured(128);
+  ASSERT_NE(Old, nullptr);
+  H.endMinor();
+  ASSERT_NE(H.tryAllocate(64), nullptr);
+  H.beginMajor(256);
+  EXPECT_EQ(H.forwardBitmapBytes(), 16u + 8u);
+  H.endMajor();
 }
 
 TEST(Value, TagRoundTrip) {

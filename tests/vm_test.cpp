@@ -211,6 +211,37 @@ TEST_P(VmSemantics, RefCycleSurvivesCollection) {
   EXPECT_EQ(eval(Src, true, 1 << 12), "9"); // 1+2+1+2+1+2
 }
 
+TEST(HeapDeathTest, ReadingPastTheNewestInlineAllocationReports) {
+  // The VM's inline allocation unpoisons exactly the words it hands out,
+  // so the word after the newest object stays poisoned, in the copying
+  // heap and in the nursery alike.
+  if (!PoisonsFreeWords)
+    GTEST_SKIP() << "free words are poisoned only under AddressSanitizer";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Compiled C = compile("fun pair (n : int) : int * int = (n, n + 1);\n"
+                       "pair 41");
+  ASSERT_TRUE(C.P) << C.Error;
+  const std::pair<GcStrategy, GcAlgorithm> Configs[] = {
+      {GcStrategy::CompiledTagFree, GcAlgorithm::Copying},
+      {GcStrategy::CompiledTagFree, GcAlgorithm::Generational},
+      {GcStrategy::Tagged, GcAlgorithm::Copying},
+  };
+  for (auto [S, A] : Configs) {
+    SCOPED_TRACE(std::string(gcStrategyName(S)) + "/" + gcAlgorithmName(A));
+    Stats St;
+    auto Col = C.P->makeCollector(S, A, 1 << 16, St);
+    ASSERT_TRUE(Col);
+    Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col, defaultVmOptions(S));
+    RunResult R = M.run();
+    ASSERT_TRUE(R.Ok) << R.Error;
+    // No collection ran, so every object came from the inline path.
+    ASSERT_EQ(St.get(StatId::GcCollections), 0u);
+    volatile Word *Pair = reinterpret_cast<Word *>(M.returnValue());
+    EXPECT_EQ(Pair[1], S == GcStrategy::Tagged ? tagInt(42) : Word(42));
+    EXPECT_DEATH((void)Pair[2], "use-after-poison");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, VmSemantics,
     ::testing::Combine(::testing::ValuesIn(test::AllStrategies),
