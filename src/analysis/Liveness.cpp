@@ -3,123 +3,118 @@
 #include "analysis/Liveness.h"
 #include "analysis/Cfg.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace tfgc;
 
 namespace {
 
-/// Dense bitset over slots, sized per function.
-class SlotSet {
+/// One dense slot bitset per instruction, 64 slots to a word, all in one
+/// flat array: a fixpoint pass updates rows in place and allocates
+/// nothing. Bits past the function's last slot stay zero, so rows compare
+/// word by word.
+class SlotRows {
 public:
-  explicit SlotSet(size_t N = 0) : Bits(N, false) {}
-  void resize(size_t N) { Bits.assign(N, false); }
-  bool test(size_t I) const { return Bits[I]; }
-  void set(size_t I) { Bits[I] = true; }
-  void clear(size_t I) { Bits[I] = false; }
-  void setAll() { Bits.assign(Bits.size(), true); }
-
-  /// this |= Other; returns true if anything changed.
-  bool unionWith(const SlotSet &Other) {
-    bool Changed = false;
-    for (size_t I = 0; I < Bits.size(); ++I)
-      if (Other.Bits[I] && !Bits[I]) {
-        Bits[I] = true;
-        Changed = true;
-      }
-    return Changed;
-  }
-
-  /// this &= Other.
-  void intersectWith(const SlotSet &Other) {
-    for (size_t I = 0; I < Bits.size(); ++I)
-      if (!Other.Bits[I])
-        Bits[I] = false;
-  }
-
-  bool operator==(const SlotSet &Other) const { return Bits == Other.Bits; }
-
-  size_t size() const { return Bits.size(); }
+  SlotRows(size_t Rows, size_t Slots)
+      : W((Slots + 63) / 64), Bits(Rows * W, 0) {}
+  size_t words() const { return W; }
+  uint64_t *row(size_t I) { return Bits.data() + I * W; }
+  const uint64_t *row(size_t I) const { return Bits.data() + I * W; }
 
 private:
-  std::vector<bool> Bits;
+  size_t W;
+  std::vector<uint64_t> Bits;
 };
 
+bool testBit(const uint64_t *S, size_t I) {
+  return (S[I >> 6] >> (I & 63)) & 1;
+}
+void setBit(uint64_t *S, size_t I) { S[I >> 6] |= (uint64_t)1 << (I & 63); }
+void clearBit(uint64_t *S, size_t I) {
+  S[I >> 6] &= ~((uint64_t)1 << (I & 63));
+}
+
+/// Every one of \p Slots slots (W words).
+void setAll(uint64_t *S, size_t W, size_t Slots) {
+  std::fill(S, S + W, ~(uint64_t)0);
+  if (Slots & 63)
+    S[W - 1] = ((uint64_t)1 << (Slots & 63)) - 1;
+}
+
+/// Copies \p Src into \p Dst; returns true if that changed \p Dst.
+bool update(uint64_t *Dst, const uint64_t *Src, size_t W) {
+  if (std::equal(Src, Src + W, Dst))
+    return false;
+  std::copy(Src, Src + W, Dst);
+  return true;
+}
+
 struct FnDataflow {
-  std::vector<SlotSet> LiveOut; ///< Live after each instruction.
-  std::vector<SlotSet> InitIn;  ///< Definitely initialized before it.
+  SlotRows LiveOut; ///< Live after each instruction.
+  SlotRows InitIn;  ///< Definitely initialized before it.
 };
 
 FnDataflow solve(const IrFunction &F) {
   Cfg G(F);
   size_t N = F.Code.size();
   size_t Slots = F.numSlots();
-  FnDataflow D;
-  D.LiveOut.assign(N, SlotSet(Slots));
-  D.InitIn.assign(N, SlotSet(Slots));
+  FnDataflow D{SlotRows(N, Slots), SlotRows(N, Slots)};
+  const size_t W = D.LiveOut.words();
+  std::vector<uint64_t> Out(W), In(W);
 
   // Backward liveness to a fixpoint.
-  std::vector<SlotSet> LiveIn(N, SlotSet(Slots));
+  SlotRows LiveIn(N, Slots);
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t I = N; I-- > 0;) {
-      const Instr &In = F.Code[I];
-      SlotSet Out(Slots);
-      for (uint32_t S : G.succs((uint32_t)I))
-        Out.unionWith(LiveIn[S]);
-      SlotSet NewIn = Out;
-      if (In.hasDst())
-        NewIn.clear(In.Dst);
-      for (SlotIndex S : In.Srcs)
-        NewIn.set(S);
-      if (!(D.LiveOut[I] == Out)) {
-        D.LiveOut[I] = Out;
-        Changed = true;
+      const Instr &Ins = F.Code[I];
+      std::fill(Out.begin(), Out.end(), 0);
+      for (uint32_t S : G.succs((uint32_t)I)) {
+        const uint64_t *Succ = LiveIn.row(S);
+        for (size_t K = 0; K < W; ++K)
+          Out[K] |= Succ[K];
       }
-      if (!(LiveIn[I] == NewIn)) {
-        LiveIn[I] = NewIn;
-        Changed = true;
-      }
+      In = Out;
+      if (Ins.hasDst())
+        clearBit(In.data(), Ins.Dst);
+      for (SlotIndex S : Ins.Srcs)
+        setBit(In.data(), S);
+      Changed |= update(D.LiveOut.row(I), Out.data(), W);
+      Changed |= update(LiveIn.row(I), In.data(), W);
     }
   }
 
   // Forward definite-initialization to a fixpoint. Parameters (and the
   // closure self slot) are initialized at entry.
-  std::vector<SlotSet> InitOut(N, SlotSet(Slots));
-  for (auto &S : InitOut)
-    S.setAll(); // "top" for the intersection; entry fixes instruction 0.
+  SlotRows InitOut(N, Slots);
+  for (size_t I = 0; I < N; ++I)
+    setAll(InitOut.row(I), W, Slots); // "top" for the intersection.
   Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t I = 0; I < N; ++I) {
-      SlotSet In(Slots);
+      // Entry (no predecessors, or instruction 0, which can also be
+      // reached from nothing) has the parameters initialized.
       if (G.preds((uint32_t)I).empty()) {
-        for (unsigned P = 0; P < F.NumParams; ++P)
-          In.set(P);
+        std::fill(In.begin(), In.end(), 0);
       } else {
-        In.setAll();
-        for (uint32_t P : G.preds((uint32_t)I))
-          In.intersectWith(InitOut[P]);
-        // Entry can also fall through from nothing only at index 0.
-        if (I == 0) {
-          SlotSet Entry(Slots);
-          for (unsigned P = 0; P < F.NumParams; ++P)
-            Entry.set(P);
-          In.unionWith(Entry);
+        setAll(In.data(), W, Slots);
+        for (uint32_t P : G.preds((uint32_t)I)) {
+          const uint64_t *Pred = InitOut.row(P);
+          for (size_t K = 0; K < W; ++K)
+            In[K] &= Pred[K];
         }
       }
-      SlotSet Out = In;
+      if (G.preds((uint32_t)I).empty() || I == 0)
+        for (unsigned P = 0; P < F.NumParams; ++P)
+          setBit(In.data(), P);
+      Out = In;
       if (F.Code[I].hasDst())
-        Out.set(F.Code[I].Dst);
-      if (!(D.InitIn[I] == In)) {
-        D.InitIn[I] = In;
-        Changed = true;
-      }
-      if (!(InitOut[I] == Out)) {
-        InitOut[I] = Out;
-        Changed = true;
-      }
+        setBit(Out.data(), F.Code[I].Dst);
+      Changed |= update(D.InitIn.row(I), In.data(), W);
+      Changed |= update(InitOut.row(I), Out.data(), W);
     }
   }
   return D;
@@ -134,16 +129,18 @@ void tfgc::computeTraceSets(IrProgram &P, const LivenessOptions &Opts) {
   for (const IrFunction &F : P.Functions)
     Flows.push_back(solve(F));
 
+  std::vector<uint64_t> Trace;
   for (CallSiteInfo &S : P.Sites) {
     const IrFunction &F = P.fn(S.Caller);
     const Instr &In = F.Code[S.InstrIdx];
     const FnDataflow &D = Flows[S.Caller];
+    const size_t W = D.LiveOut.words();
 
-    SlotSet Trace(F.numSlots());
     if (Opts.UseLiveness) {
-      Trace = D.LiveOut[S.InstrIdx];
+      const uint64_t *Live = D.LiveOut.row(S.InstrIdx);
+      Trace.assign(Live, Live + W);
       if (In.hasDst())
-        Trace.clear(In.Dst); // Written only after the call returns.
+        clearBit(Trace.data(), In.Dst); // Written only after the call returns.
       // Allocation instructions read their operands *after* a potential
       // collection (the object is allocated first, then filled from the
       // slots), so the operands must be traced and updated. Under tasking
@@ -151,19 +148,22 @@ void tfgc::computeTraceSets(IrProgram &P, const LivenessOptions &Opts) {
       // re-executes it after the collection.
       if (S.Kind == SiteKind::Alloc || Opts.TraceCallArgs)
         for (SlotIndex Src : In.Srcs)
-          Trace.set(Src);
+          setBit(Trace.data(), Src);
     } else {
-      Trace.setAll();
+      Trace.resize(W);
+      setAll(Trace.data(), W, F.numSlots());
       if (In.hasDst())
-        Trace.clear(In.Dst);
+        clearBit(Trace.data(), In.Dst);
     }
     // Never trace uninitialized slots: their contents are garbage (paper
     // section 1.1.1's critique of per-procedure descriptors).
-    Trace.intersectWith(D.InitIn[S.InstrIdx]);
+    const uint64_t *Init = D.InitIn.row(S.InstrIdx);
+    for (size_t K = 0; K < W; ++K)
+      Trace[K] &= Init[K];
 
     S.TraceSlots.clear();
-    for (size_t I = 0; I < Trace.size(); ++I)
-      if (Trace.test(I))
+    for (size_t I = 0; I < F.numSlots(); ++I)
+      if (testBit(Trace.data(), I))
         S.TraceSlots.push_back((SlotIndex)I);
   }
 }

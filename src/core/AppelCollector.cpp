@@ -21,12 +21,10 @@ void AppelCollector::traceRemset(Space &Sp) {
   // stores, so each slot is retraced through a closure for its recorded
   // static type, sharing the collection's closure arena.
   TagFreeTracer Tr(Prog, Img, Eng, Sp, St, TraceMethod::Appel, nullptr,
-                   nullptr, AM, GlogerDummies, &Tel, Prof);
+                   nullptr, AM, Gray[0], GlogerDummies, &Tel, Prof);
   TgEnv Env;
-  for (const RemsetEntry &E : remset()) {
-    St.add(StatId::GcSlotsTraced);
-    *E.Slot = Tr.traceTg(*E.Slot, Eng.eval(E.Ty, Env));
-  }
+  for (const RemsetEntry &E : remset())
+    Tr.traceSlot(E.Slot, Eng.eval(E.Ty, Env));
 }
 
 std::vector<const TypeGc *>
@@ -105,25 +103,28 @@ void AppelCollector::traceOneStack(TaskStack &Stack, TagFreeTracer &Tr,
 
 void AppelCollector::traceRoots(RootSet &Roots, Space &Sp) {
   Eng.reset();
+  if (Gray.size() < GcThreads)
+    Gray.resize(GcThreads);
 
-  // Parallel path: worker-private engine + tracer per stack job (shared
-  // metadata — descriptors, types, closure paths — is read-only during a
-  // collection; only the heap's claim/publish words are contended).
+  // Parallel path: worker-private engine + tracer per stack job over the
+  // worker's own gray stack (shared metadata — descriptors, types,
+  // closure paths — is read-only during a collection; only the heap's
+  // claim/publish words are contended).
   if (traceStacksParallel(
           Roots, Sp,
           [this](TaskStack &Stack, Space &WSp, Stats &WSt,
-                 CensusCounts &WCensus) {
+                 CensusCounts &WCensus, unsigned W) {
             TypeGcEngine WEng(Types, WSt, nullptr);
             TagFreeTracer Tr(Prog, Img, WEng, WSp, WSt, TraceMethod::Appel,
-                             nullptr, nullptr, AM, GlogerDummies, nullptr,
-                             nullptr);
+                             nullptr, nullptr, AM, Gray[W], GlogerDummies,
+                             nullptr, nullptr);
             Tr.setCensusSink(&WCensus);
             traceOneStack(Stack, Tr, WEng, WSt, nullptr);
           }))
     return;
 
   TagFreeTracer Tr(Prog, Img, Eng, Sp, St, TraceMethod::Appel, nullptr,
-                   nullptr, AM, GlogerDummies, &Tel, Prof);
+                   nullptr, AM, Gray[0], GlogerDummies, &Tel, Prof);
   for (TaskStack *Stack : Roots.Stacks)
     traceOneStack(*Stack, Tr, Eng, St, &Tel);
 }

@@ -45,6 +45,9 @@ private:
   /// closure cache pays off; reset() after every traceRoots pass drops the
   /// per-collection nodes.
   TypeGcEngine Eng;
+  /// One gray stack per GC worker (index 0 also serves the serial trace
+  /// and the remembered set), kept across collections.
+  std::vector<GrayStack> Gray;
 
   /// Walks the dynamic chain downward from frame \p Idx until the type
   /// parameters of its function are ground (paper section 3's description

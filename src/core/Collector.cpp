@@ -108,8 +108,8 @@ void Collector::setGcThreads(unsigned N) {
 bool Collector::traceStacksParallel(
     RootSet &Roots, Space &Sp,
     const std::function<void(TaskStack &Stack, Space &WorkerSp,
-                             Stats &WorkerSt, CensusCounts &WorkerCensus)>
-        &TraceStack) {
+                             Stats &WorkerSt, CensusCounts &WorkerCensus,
+                             unsigned Worker)> &TraceStack) {
   unsigned NumStacks = (unsigned)Roots.Stacks.size();
   if (GcThreads < 2 || Prof || NumStacks < 2)
     return false;
@@ -151,7 +151,7 @@ bool Collector::traceStacksParallel(
       bool Ran = false;
       while (C.Deque.pop(Idx)) {
         Ran = true;
-        TraceStack(*Roots.Stacks[Idx], *C.Sp, C.St, C.Census);
+        TraceStack(*Roots.Stacks[Idx], *C.Sp, C.St, C.Census, W);
       }
       bool Any = false;
       for (unsigned D = 1; D < K; ++D) {
@@ -159,7 +159,7 @@ bool Collector::traceStacksParallel(
         if (Victim.steal(Idx)) {
           C.St.add(StatId::GcStackSteals);
           ++Steals;
-          TraceStack(*Roots.Stacks[Idx], *C.Sp, C.St, C.Census);
+          TraceStack(*Roots.Stacks[Idx], *C.Sp, C.St, C.Census, W);
           Ran = Any = true;
           break;
         }

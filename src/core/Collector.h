@@ -229,6 +229,8 @@ protected:
   /// \p TraceStack traces one suspended stack into the worker's space,
   /// recording counters into the worker's stats; census increments must
   /// go through the worker's CensusCounts (TagFreeTracer::setCensusSink).
+  /// \p Worker (0 to GcThreads - 1) selects per-worker scratch such as a
+  /// tag-free collector's gray stack.
   ///
   /// Returns false — caller must run its serial path — when parallelism
   /// is not engaged: one worker configured, a heap profiler attached
@@ -238,8 +240,8 @@ protected:
   bool traceStacksParallel(
       RootSet &Roots, Space &Sp,
       const std::function<void(TaskStack &Stack, Space &WorkerSp,
-                               Stats &WorkerSt, CensusCounts &WorkerCensus)>
-          &TraceStack);
+                               Stats &WorkerSt, CensusCounts &WorkerCensus,
+                               unsigned Worker)> &TraceStack);
 
   /// Strategy-specific scan of the remembered set during a minor
   /// collection (entries are extra roots). The base implementation is a

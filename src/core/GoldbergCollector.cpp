@@ -36,13 +36,11 @@ void GoldbergCollector::traceRemset(Space &Sp) {
   // be retraced standalone: evaluate the type into a GC routine closure
   // and run it. No Eng.reset() here — this runs inside a collection,
   // after traceRoots, and must share its closure arena.
-  TagFreeTracer Tr(Prog, Img, Eng, Sp, St, Method, CM, IM, nullptr,
+  TagFreeTracer Tr(Prog, Img, Eng, Sp, St, Method, CM, IM, nullptr, Gray[0],
                    GlogerDummies, &Tel, Prof);
   TgEnv Env; // Ground types have no type parameters to bind.
-  for (const RemsetEntry &E : remset()) {
-    St.add(StatId::GcSlotsTraced);
-    *E.Slot = Tr.traceTg(*E.Slot, Eng.eval(E.Ty, Env));
-  }
+  for (const RemsetEntry &E : remset())
+    Tr.traceSlot(E.Slot, Eng.eval(E.Ty, Env));
 }
 
 void GoldbergCollector::traceOneStack(TaskStack &Stack, TagFreeTracer &Tr,
@@ -126,24 +124,27 @@ void GoldbergCollector::traceOneStack(TaskStack &Stack, TagFreeTracer &Tr,
 
 void GoldbergCollector::traceRoots(RootSet &Roots, Space &Sp) {
   Eng.reset();
+  if (Gray.size() < GcThreads)
+    Gray.resize(GcThreads);
 
   // Parallel path: each worker builds a private engine + tracer per stack
-  // job, so only the heap's claim/publish words are shared. The member
-  // engine stays valid (reset above) for the serial remset scan that may
-  // follow inside this same collection.
+  // job over its own gray stack, so only the heap's claim/publish words
+  // are shared. The member engine stays valid (reset above) for the
+  // serial remset scan that may follow inside this same collection.
   if (traceStacksParallel(
           Roots, Sp,
           [this](TaskStack &Stack, Space &WSp, Stats &WSt,
-                 CensusCounts &WCensus) {
+                 CensusCounts &WCensus, unsigned W) {
             TypeGcEngine WEng(Types, WSt, nullptr);
             TagFreeTracer Tr(Prog, Img, WEng, WSp, WSt, Method, CM, IM,
-                             nullptr, GlogerDummies, nullptr, nullptr);
+                             nullptr, Gray[W], GlogerDummies, nullptr,
+                             nullptr);
             Tr.setCensusSink(&WCensus);
             traceOneStack(Stack, Tr, WEng, WSt, nullptr);
           }))
     return;
 
-  TagFreeTracer Tr(Prog, Img, Eng, Sp, St, Method, CM, IM, nullptr,
+  TagFreeTracer Tr(Prog, Img, Eng, Sp, St, Method, CM, IM, nullptr, Gray[0],
                    GlogerDummies, &Tel, Prof);
   for (TaskStack *Stack : Roots.Stacks)
     traceOneStack(*Stack, Tr, Eng, St, &Tel);

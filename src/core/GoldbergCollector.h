@@ -46,6 +46,9 @@ private:
   /// closure cache pays off; reset() after every traceRoots pass drops the
   /// per-collection nodes.
   TypeGcEngine Eng;
+  /// One gray stack per GC worker (index 0 also serves the serial trace
+  /// and the remembered set), kept across collections.
+  std::vector<GrayStack> Gray;
 
   const std::vector<ClosureParamPath> &paramPaths(FuncId Fn) const;
 

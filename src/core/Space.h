@@ -1,10 +1,34 @@
 //===- core/Space.h - Copying vs mark-sweep policy --------------*- C++ -*-===//
 ///
 /// \file
-/// The tag-free tracing engines are generic over the underlying collection
+/// The tracing engines are generic over the underlying collection
 /// algorithm (the paper supports both copying and mark/sweep). A Space
 /// answers "was this object visited already?" and performs the visit
 /// (copy+forward, or mark).
+///
+/// Every concrete space is final and names itself with a SpaceKind. The
+/// tracers dispatch on that kind once per trace call (dispatchSpace) and
+/// run a loop instantiated for the concrete class, so the per-object
+/// calls — alreadyVisited, tryClaim, visitNew — are direct and inline:
+///
+///   alreadyVisited(Ref, NewRef)  true (and NewRef set) when Ref was
+///                                visited already
+///   tryClaim(Ref, NewRef)        parallel first-visit arbitration, called
+///                                between alreadyVisited and visitNew.
+///                                Serial spaces claim unconditionally.
+///                                Parallel spaces race atomically: true =
+///                                the caller won and must visitNew + scan;
+///                                false = another worker owns the object
+///                                and NewRef is its final reference (a
+///                                copying space may spin until the winner
+///                                publishes). Word 0 of an object is only
+///                                stable for the claim winner, so tracers
+///                                read discriminants and closure code
+///                                addresses after a successful tryClaim
+///                                (DESIGN.md section 11).
+///   visitNew(Ref, PayloadWords)  first visit: copies (copying) or marks
+///                                (mark-sweep) the object and returns its
+///                                new reference
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,31 +46,23 @@
 
 namespace tfgc {
 
+enum class SpaceKind : uint8_t {
+  Copying,
+  ParCopying,
+  Mark,
+  ParMark,
+  GenMinor,
+  ParGenMinor,
+  GenMajor,
+  ParGenMajor,
+  Check,
+};
+
 class Space {
 public:
   virtual ~Space() = default;
 
-  /// If \p Ref was already visited, sets \p NewRef and returns true.
-  virtual bool alreadyVisited(Word Ref, Word &NewRef) = 0;
-
-  /// First visit: copies (copying) or marks (mark-sweep) the object whose
-  /// payload is \p PayloadWords words. Returns the object's new reference.
-  virtual Word visitNew(Word Ref, size_t PayloadWords) = 0;
-
-  /// Parallel first-visit arbitration, called by the tracers between
-  /// alreadyVisited() and visitNew(). Serial spaces claim unconditionally
-  /// (this default), so the serial trace path is unchanged. Parallel
-  /// spaces atomically race for the object: true = caller won and must
-  /// visitNew() + scan; false = another worker owns it and \p NewRef is
-  /// its final reference (for copying spaces this may spin until the
-  /// winner publishes). Word 0 of an object is only stable for the claim
-  /// winner — tracers must read discriminants / closure code addresses
-  /// *after* a successful tryClaim (DESIGN.md section 11).
-  virtual bool tryClaim(Word Ref, Word &NewRef) {
-    (void)Ref;
-    (void)NewRef;
-    return true;
-  }
+  SpaceKind kind() const { return Kind; }
 
   /// A thread-private sibling policy for one GC worker (shares the heap,
   /// owns its own survival counters), or nullptr when this policy cannot
@@ -60,18 +76,48 @@ public:
   /// The payload to scan/patch after visitNew (the to-space copy under
   /// copying collection).
   Word *payload(Word Ref) const { return reinterpret_cast<Word *>(Ref); }
+
+protected:
+  explicit Space(SpaceKind Kind) : Kind(Kind) {}
+
+private:
+  const SpaceKind Kind;
 };
+
+/// Copies an object's payload. Most objects are a few words, where an
+/// inline copy beats a call to memcpy.
+inline void copyPayload(Word *To, const Word *From, size_t Words) {
+  switch (Words) {
+  case 4:
+    To[3] = From[3];
+    [[fallthrough]];
+  case 3:
+    To[2] = From[2];
+    [[fallthrough]];
+  case 2:
+    To[1] = From[1];
+    [[fallthrough]];
+  case 1:
+    To[0] = From[0];
+    [[fallthrough]];
+  case 0:
+    return;
+  default:
+    std::memcpy(To, From, Words * sizeof(Word));
+  }
+}
 
 /// Parallel sibling of CopyingSpace: claim with an atomic fetch-or on the
 /// forward bitmap, copy into the worker's own to-space copy buffer
 /// (runtime/Carve.h), then publish the forwarding address
 /// (runtime/Heap.h claim/publish protocol).
-class ParCopyingSpace : public Space {
+class ParCopyingSpace final : public Space {
 public:
   ParCopyingSpace(Heap &H, bool TaggedHeaders)
-      : H(H), Buf(H.toSpaceBuffer()), TaggedHeaders(TaggedHeaders) {}
+      : Space(SpaceKind::ParCopying), H(H), Buf(H.toSpaceBuffer()),
+        TaggedHeaders(TaggedHeaders) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     Word *Obj = reinterpret_cast<Word *>(Ref);
     if (!H.isForwardedAtomic(Obj))
       return false;
@@ -79,7 +125,7 @@ public:
     return true;
   }
 
-  bool tryClaim(Word Ref, Word &NewRef) override {
+  bool tryClaim(Word Ref, Word &NewRef) {
     Word *Obj = reinterpret_cast<Word *>(Ref);
     if (H.tryClaimForward(Obj))
       return true;
@@ -87,7 +133,7 @@ public:
     return false;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  Word visitNew(Word Ref, size_t PayloadWords) {
     Word *Old = reinterpret_cast<Word *>(Ref);
     Word *New;
     if (TaggedHeaders) {
@@ -97,7 +143,7 @@ public:
     } else {
       New = Buf.allocate(PayloadWords);
     }
-    std::memcpy(New, Old, PayloadWords * sizeof(Word));
+    copyPayload(New, Old, PayloadWords);
     H.publishForward(Old, (Word)(uintptr_t)New);
     return (Word)(uintptr_t)New;
   }
@@ -110,12 +156,12 @@ private:
 
 /// Semispace policy. With \p TaggedHeaders, objects carry a header at
 /// payload[-1] that is copied along.
-class CopyingSpace : public Space {
+class CopyingSpace final : public Space {
 public:
   CopyingSpace(Heap &H, bool TaggedHeaders)
-      : H(H), TaggedHeaders(TaggedHeaders) {}
+      : Space(SpaceKind::Copying), H(H), TaggedHeaders(TaggedHeaders) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     Word *Obj = reinterpret_cast<Word *>(Ref);
     if (!H.isForwarded(Obj))
       return false;
@@ -123,7 +169,10 @@ public:
     return true;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  /// Serial: the caller always wins the claim.
+  bool tryClaim(Word, Word &) { return true; }
+
+  Word visitNew(Word Ref, size_t PayloadWords) {
     Word *Old = reinterpret_cast<Word *>(Ref);
     Word *New;
     if (TaggedHeaders) {
@@ -133,7 +182,7 @@ public:
     } else {
       New = H.allocateInToSpace(PayloadWords);
     }
-    std::memcpy(New, Old, PayloadWords * sizeof(Word));
+    copyPayload(New, Old, PayloadWords);
     H.setForwarded(Old, (Word)(uintptr_t)New);
     return (Word)(uintptr_t)New;
   }
@@ -152,24 +201,24 @@ private:
 /// Parallel sibling of MarkSpace. Non-moving, so there is no publish
 /// protocol: the atomic mark claim *is* the whole arbitration, and losers
 /// keep the unchanged reference without waiting.
-class ParMarkSpace : public Space {
+class ParMarkSpace final : public Space {
 public:
   ParMarkSpace(MarkSweepHeap &H, bool TaggedHeaders)
-      : H(H), TaggedHeaders(TaggedHeaders) {}
+      : Space(SpaceKind::ParMark), H(H), TaggedHeaders(TaggedHeaders) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     if (!H.isMarkedAtomic(block(Ref)))
       return false;
     NewRef = Ref;
     return true;
   }
 
-  bool tryClaim(Word Ref, Word &NewRef) override {
+  bool tryClaim(Word Ref, Word &NewRef) {
     NewRef = Ref;
     return H.tryMarkAtomic(block(Ref));
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  Word visitNew(Word Ref, size_t PayloadWords) {
     // Already marked by the winning tryClaim.
     (void)PayloadWords;
     return Ref;
@@ -186,19 +235,22 @@ private:
 
 /// Non-moving policy. Marks are recorded against block addresses, which
 /// under the tagged model sit one header word before the payload.
-class MarkSpace : public Space {
+class MarkSpace final : public Space {
 public:
   MarkSpace(MarkSweepHeap &H, bool TaggedHeaders)
-      : H(H), TaggedHeaders(TaggedHeaders) {}
+      : Space(SpaceKind::Mark), H(H), TaggedHeaders(TaggedHeaders) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     if (!H.isMarked(block(Ref)))
       return false;
     NewRef = Ref;
     return true;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  /// Serial: the caller always wins the claim.
+  bool tryClaim(Word, Word &) { return true; }
+
+  Word visitNew(Word Ref, size_t PayloadWords) {
     (void)PayloadWords;
     H.tryMark(block(Ref));
     return Ref;
@@ -220,13 +272,14 @@ private:
 /// Parallel sibling of GenMinorSpace: thread-private survival counters,
 /// a private copy buffer over the evacuation target, claim/publish
 /// forwarding.
-class ParGenMinorSpace : public Space {
+class ParGenMinorSpace final : public Space {
 public:
   ParGenMinorSpace(GenHeap &H, bool TaggedHeaders, bool Promote)
-      : H(H), Buf(Promote ? H.tenuredBuffer() : H.survivorBuffer()),
+      : Space(SpaceKind::ParGenMinor), H(H),
+        Buf(Promote ? H.tenuredBuffer() : H.survivorBuffer()),
         TaggedHeaders(TaggedHeaders), Promote(Promote) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     if (!H.inNursery(Ref)) {
       NewRef = Ref;
       return true;
@@ -238,7 +291,7 @@ public:
     return true;
   }
 
-  bool tryClaim(Word Ref, Word &NewRef) override {
+  bool tryClaim(Word Ref, Word &NewRef) {
     Word *Obj = reinterpret_cast<Word *>(Ref);
     if (H.tryClaimForward(Obj))
       return true;
@@ -246,7 +299,7 @@ public:
     return false;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  Word visitNew(Word Ref, size_t PayloadWords) {
     Word *Old = reinterpret_cast<Word *>(Ref);
     size_t Total = PayloadWords + (TaggedHeaders ? 1 : 0);
     Word *Alloc = Buf.allocate(Total);
@@ -257,7 +310,7 @@ public:
     } else {
       New = Alloc;
     }
-    std::memcpy(New, Old, PayloadWords * sizeof(Word));
+    copyPayload(New, Old, PayloadWords);
     H.publishForward(Old, (Word)(uintptr_t)New);
     if (Promote) {
       ++PromotedObjs;
@@ -288,12 +341,13 @@ private:
 /// not scanned during a minor — old→young edges arrive via the remembered
 /// set instead). Survivors evacuate either to the nursery to-space or,
 /// when \p Promote is set (en-masse promotion), to the tenured space.
-class GenMinorSpace : public Space {
+class GenMinorSpace final : public Space {
 public:
   GenMinorSpace(GenHeap &H, bool TaggedHeaders, bool Promote)
-      : H(H), TaggedHeaders(TaggedHeaders), Promote(Promote) {}
+      : Space(SpaceKind::GenMinor), H(H), TaggedHeaders(TaggedHeaders),
+        Promote(Promote) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     if (!H.inNursery(Ref)) {
       // Old (or immortal/global) objects stay put and are not rescanned.
       NewRef = Ref;
@@ -306,7 +360,10 @@ public:
     return true;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  /// Serial: the caller always wins the claim.
+  bool tryClaim(Word, Word &) { return true; }
+
+  Word visitNew(Word Ref, size_t PayloadWords) {
     Word *Old = reinterpret_cast<Word *>(Ref);
     size_t Total = PayloadWords + (TaggedHeaders ? 1 : 0);
     Word *Alloc = Promote ? H.allocateInTenured(Total)
@@ -318,7 +375,7 @@ public:
     } else {
       New = Alloc;
     }
-    std::memcpy(New, Old, PayloadWords * sizeof(Word));
+    copyPayload(New, Old, PayloadWords);
     H.setForwarded(Old, (Word)(uintptr_t)New);
     if (Promote) {
       ++PromotedObjs;
@@ -358,12 +415,13 @@ private:
 
 /// Parallel sibling of GenMajorSpace: a private copy buffer over the
 /// tenured to-space, claim/publish forwarding.
-class ParGenMajorSpace : public Space {
+class ParGenMajorSpace final : public Space {
 public:
   ParGenMajorSpace(GenHeap &H, bool TaggedHeaders)
-      : H(H), Buf(H.toSpaceBuffer()), TaggedHeaders(TaggedHeaders) {}
+      : Space(SpaceKind::ParGenMajor), H(H), Buf(H.toSpaceBuffer()),
+        TaggedHeaders(TaggedHeaders) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     Word *Obj = reinterpret_cast<Word *>(Ref);
     if (!H.isForwardedAtomic(Obj))
       return false;
@@ -371,7 +429,7 @@ public:
     return true;
   }
 
-  bool tryClaim(Word Ref, Word &NewRef) override {
+  bool tryClaim(Word Ref, Word &NewRef) {
     Word *Obj = reinterpret_cast<Word *>(Ref);
     if (H.tryClaimForward(Obj))
       return true;
@@ -379,7 +437,7 @@ public:
     return false;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  Word visitNew(Word Ref, size_t PayloadWords) {
     Word *Old = reinterpret_cast<Word *>(Ref);
     size_t Total = PayloadWords + (TaggedHeaders ? 1 : 0);
     bool Young = H.inNursery(Ref);
@@ -391,7 +449,7 @@ public:
     } else {
       New = Alloc;
     }
-    std::memcpy(New, Old, PayloadWords * sizeof(Word));
+    copyPayload(New, Old, PayloadWords);
     H.publishForward(Old, (Word)(uintptr_t)New);
     if (Young) {
       ++YoungEvacObjs;
@@ -414,12 +472,12 @@ private:
 /// graph — young and old — evacuates into the idle tenured half.
 /// Young objects evacuated here count as promotions (they leave the
 /// nursery for good).
-class GenMajorSpace : public Space {
+class GenMajorSpace final : public Space {
 public:
   GenMajorSpace(GenHeap &H, bool TaggedHeaders)
-      : H(H), TaggedHeaders(TaggedHeaders) {}
+      : Space(SpaceKind::GenMajor), H(H), TaggedHeaders(TaggedHeaders) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     Word *Obj = reinterpret_cast<Word *>(Ref);
     if (!H.isForwarded(Obj))
       return false;
@@ -427,7 +485,10 @@ public:
     return true;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  /// Serial: the caller always wins the claim.
+  bool tryClaim(Word, Word &) { return true; }
+
+  Word visitNew(Word Ref, size_t PayloadWords) {
     Word *Old = reinterpret_cast<Word *>(Ref);
     size_t Total = PayloadWords + (TaggedHeaders ? 1 : 0);
     bool Young = H.inNursery(Ref);
@@ -439,7 +500,7 @@ public:
     } else {
       New = Alloc;
     }
-    std::memcpy(New, Old, PayloadWords * sizeof(Word));
+    copyPayload(New, Old, PayloadWords);
     H.setForwarded(Old, (Word)(uintptr_t)New);
     if (Young) {
       ++YoungEvacObjs;
@@ -473,20 +534,24 @@ private:
 /// inside the live heap. Used after a collection to catch collector bugs
 /// (a pointer the tracer failed to forward would point into the dead
 /// from-space, which no longer exists).
-class CheckSpace : public Space {
+class CheckSpace final : public Space {
 public:
   /// \p InBounds answers whether a payload address lies in the live heap.
   CheckSpace(std::function<bool(Word)> InBounds, bool TaggedHeaders)
-      : InBounds(std::move(InBounds)), TaggedHeaders(TaggedHeaders) {}
+      : Space(SpaceKind::Check), InBounds(std::move(InBounds)),
+        TaggedHeaders(TaggedHeaders) {}
 
-  bool alreadyVisited(Word Ref, Word &NewRef) override {
+  bool alreadyVisited(Word Ref, Word &NewRef) {
     if (!Visited.count(Ref))
       return false;
     NewRef = Ref;
     return true;
   }
 
-  Word visitNew(Word Ref, size_t PayloadWords) override {
+  /// Serial: the caller always wins the claim.
+  bool tryClaim(Word, Word &) { return true; }
+
+  Word visitNew(Word Ref, size_t PayloadWords) {
     Word First = TaggedHeaders ? Ref - sizeof(Word) : Ref;
     Word Last = Ref + (PayloadWords ? PayloadWords - 1 : 0) * sizeof(Word);
     if (!InBounds(First) || !InBounds(Last))
@@ -503,6 +568,32 @@ private:
   std::unordered_set<Word> Visited;
   uint64_t Violations = 0;
 };
+
+/// Calls \p Fn with \p Sp as its concrete space: the one dispatch a
+/// trace call pays, after which every per-object call is direct.
+template <class FnT> decltype(auto) dispatchSpace(Space &Sp, FnT &&Fn) {
+  switch (Sp.kind()) {
+  case SpaceKind::Copying:
+    return Fn(static_cast<CopyingSpace &>(Sp));
+  case SpaceKind::ParCopying:
+    return Fn(static_cast<ParCopyingSpace &>(Sp));
+  case SpaceKind::Mark:
+    return Fn(static_cast<MarkSpace &>(Sp));
+  case SpaceKind::ParMark:
+    return Fn(static_cast<ParMarkSpace &>(Sp));
+  case SpaceKind::GenMinor:
+    return Fn(static_cast<GenMinorSpace &>(Sp));
+  case SpaceKind::ParGenMinor:
+    return Fn(static_cast<ParGenMinorSpace &>(Sp));
+  case SpaceKind::GenMajor:
+    return Fn(static_cast<GenMajorSpace &>(Sp));
+  case SpaceKind::ParGenMajor:
+    return Fn(static_cast<ParGenMajorSpace &>(Sp));
+  case SpaceKind::Check:
+    return Fn(static_cast<CheckSpace &>(Sp));
+  }
+  __builtin_unreachable();
+}
 
 } // namespace tfgc
 

@@ -8,7 +8,8 @@
 
 using namespace tfgc;
 
-Word TaggedCollector::traceWord(Space &Sp, std::vector<Word> &ScanList,
+template <class SpaceT>
+Word TaggedCollector::traceWord(SpaceT &Sp, std::vector<Word> &ScanList,
                                 Word W, Stats &S, CensusCounts *Census) {
   // Non-pointers pass through unchanged: small ints (low bit 1), unit/
   // bool immediates, and self-tagged floats (low bits 0b010 after the
@@ -40,7 +41,8 @@ Word TaggedCollector::traceWord(Space &Sp, std::vector<Word> &ScanList,
   return NewRef;
 }
 
-void TaggedCollector::drainScanList(Space &Sp, std::vector<Word> &ScanList,
+template <class SpaceT>
+void TaggedCollector::drainScanList(SpaceT &Sp, std::vector<Word> &ScanList,
                                     Stats &S, CensusCounts *Census) {
   // Heap-graph edge capture is decided per collection (never during the
   // census-sink parallel path or the verify pass, which both re-scan).
@@ -59,7 +61,8 @@ void TaggedCollector::drainScanList(Space &Sp, std::vector<Word> &ScanList,
   }
 }
 
-void TaggedCollector::traceOneStack(TaskStack &Stack, Space &Sp,
+template <class SpaceT>
+void TaggedCollector::traceOneStack(TaskStack &Stack, SpaceT &Sp,
                                     std::vector<Word> &ScanList, Stats &S,
                                     CensusCounts *Census) {
   HeapGraph *const Graph = Prof && !Census ? Prof->capture() : nullptr;
@@ -85,26 +88,32 @@ void TaggedCollector::traceRoots(RootSet &Roots, Space &Sp) {
   if (traceStacksParallel(
           Roots, Sp,
           [this](TaskStack &Stack, Space &WSp, Stats &WSt,
-                 CensusCounts &WCensus) {
-            std::vector<Word> ScanList;
-            traceOneStack(Stack, WSp, ScanList, WSt, &WCensus);
-            drainScanList(WSp, ScanList, WSt, &WCensus);
+                 CensusCounts &WCensus, unsigned) {
+            dispatchSpace(WSp, [&](auto &S) {
+              std::vector<Word> ScanList;
+              traceOneStack(Stack, S, ScanList, WSt, &WCensus);
+              drainScanList(S, ScanList, WSt, &WCensus);
+            });
           }))
     return;
 
-  std::vector<Word> ScanList;
-  for (TaskStack *Stack : Roots.Stacks)
-    traceOneStack(*Stack, Sp, ScanList, St, nullptr);
-  drainScanList(Sp, ScanList, St, nullptr);
+  dispatchSpace(Sp, [&](auto &S) {
+    std::vector<Word> ScanList;
+    for (TaskStack *Stack : Roots.Stacks)
+      traceOneStack(*Stack, S, ScanList, St, nullptr);
+    drainScanList(S, ScanList, St, nullptr);
+  });
 }
 
 void TaggedCollector::traceRemset(Space &Sp) {
   // Remembered tenured slots are extra roots for a minor collection; the
   // header model needs no types, so each slot is retraced by its tag bit.
-  std::vector<Word> ScanList;
-  for (const RemsetEntry &E : remset()) {
-    St.add(StatId::GcSlotsTraced);
-    *E.Slot = traceWord(Sp, ScanList, *E.Slot, St, nullptr);
-  }
-  drainScanList(Sp, ScanList, St, nullptr);
+  dispatchSpace(Sp, [&](auto &S) {
+    std::vector<Word> ScanList;
+    for (const RemsetEntry &E : remset()) {
+      St.add(StatId::GcSlotsTraced);
+      *E.Slot = traceWord(S, ScanList, *E.Slot, St, nullptr);
+    }
+    drainScanList(S, ScanList, St, nullptr);
+  });
 }

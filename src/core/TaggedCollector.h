@@ -35,12 +35,16 @@ private:
   /// Traces one word by tag bit + header, queueing Scan-kind payloads.
   /// Counters land in \p S; \p Census non-null routes census increments
   /// into a GC worker's private accumulator (and suppresses the profiler,
-  /// whose visit stream is serial-only).
-  Word traceWord(Space &Sp, std::vector<Word> &ScanList, Word W, Stats &S,
+  /// whose visit stream is serial-only). These run on the concrete space
+  /// (dispatchSpace), so the per-object space calls are direct.
+  template <class SpaceT>
+  Word traceWord(SpaceT &Sp, std::vector<Word> &ScanList, Word W, Stats &S,
                  CensusCounts *Census);
-  void drainScanList(Space &Sp, std::vector<Word> &ScanList, Stats &S,
+  template <class SpaceT>
+  void drainScanList(SpaceT &Sp, std::vector<Word> &ScanList, Stats &S,
                      CensusCounts *Census);
-  void traceOneStack(TaskStack &Stack, Space &Sp,
+  template <class SpaceT>
+  void traceOneStack(TaskStack &Stack, SpaceT &Sp,
                      std::vector<Word> &ScanList, Stats &S,
                      CensusCounts *Census);
 };

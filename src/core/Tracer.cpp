@@ -2,122 +2,45 @@
 
 #include "core/Tracer.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace tfgc;
 
-Word TagFreeTracer::traceCompiled(Word V, RoutineId R) {
-  Word Result = V;
-  Word *Patch = &Result;
-  // Heap-graph bookkeeping for the tail-iteration loop: once Patch is
-  // redirected into an object's payload, (PatchObj, PatchField) name the
-  // slot it points at, so the deferred `*Patch = NewRef` writes can be
-  // mirrored as graph edges. 0 = Patch still aims at the caller's slot
-  // (a frame root or a field whose edge the caller records).
-  Word PatchObj = 0;
-  uint32_t PatchField = 0;
-  for (;;) {
-    const TypeRoutine &TR = CM->routine(R);
-    switch (TR.F) {
-    case TypeRoutine::Form::Leaf:
-      *Patch = V; // Non-reference: no edge.
-      return Result;
-    case TypeRoutine::Form::FunValue:
-      *Patch = traceClosureValue(V, nullptr, TR.FunStaticTy);
-      if (Graph)
-        edge(PatchObj, PatchField, *Patch);
-      return Result;
-    case TypeRoutine::Form::Record:
-    case TypeRoutine::Form::RefCell: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, TR.PayloadWords);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, TR.PayloadWords);
-      visit(V, NewRef,
-            TR.F == TypeRoutine::Form::RefCell ? CensusKind::Ref
-                                               : CensusKind::Tuple,
-            TR.PayloadWords);
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      for (const FieldAction &A : TR.Fields) {
-        St.add(StatId::GcCompiledActions);
-        Pl[A.Offset] = traceCompiled(Pl[A.Offset], A.Routine);
-        if (Graph)
-          edge(NewRef, A.Offset, Pl[A.Offset]);
-      }
-      return Result;
-    }
-    case TypeRoutine::Form::DataSwitch: {
-      if (V < ImmediateCtorLimit) { // Covers nullary ctors and null.
-        *Patch = V;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      Word Disc = *reinterpret_cast<const Word *>(V);
-      assert(Disc < TR.CtorSizes.size() && "corrupt discriminant");
-      NewRef = Sp.visitNew(V, TR.CtorSizes[Disc]);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, TR.CtorSizes[Disc]);
-      visit(V, NewRef, CensusKind::Data, TR.CtorSizes[Disc]);
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      const std::vector<FieldAction> &Acts = TR.CtorFields[Disc];
-      size_t N = Acts.size();
-      for (size_t I = 0; I + 1 < N; ++I) {
-        St.add(StatId::GcCompiledActions);
-        Pl[Acts[I].Offset] = traceCompiled(Pl[Acts[I].Offset], Acts[I].Routine);
-        if (Graph)
-          edge(NewRef, Acts[I].Offset, Pl[Acts[I].Offset]);
-      }
-      if (N != 0) {
-        const FieldAction &Last = Acts[N - 1];
-        St.add(StatId::GcCompiledActions);
-        if (Last.Routine == R) {
-          // Iterate on the tail field (cdr of a list) instead of
-          // recursing.
-          V = Pl[Last.Offset];
-          Patch = &Pl[Last.Offset];
-          PatchObj = NewRef;
-          PatchField = Last.Offset;
-          continue;
-        }
-        Pl[Last.Offset] = traceCompiled(Pl[Last.Offset], Last.Routine);
-        if (Graph)
-          edge(NewRef, Last.Offset, Pl[Last.Offset]);
-      }
-      return Result;
-    }
-    }
-  }
+namespace {
+
+GrayEntry compiledEntry(Word *Slot, RoutineId R, uint32_t Field) {
+  GrayEntry E;
+  E.Slot = Slot;
+  E.Env = nullptr;
+  E.Id = R;
+  E.Field = Field;
+  E.K = GrayEntry::How::Compiled;
+  return E;
 }
+
+GrayEntry descEntry(Word *Slot, DescId D, const DescEnvNode *Env,
+                    uint32_t Field) {
+  GrayEntry E;
+  E.Slot = Slot;
+  E.Env = Env;
+  E.Id = D;
+  E.Field = Field;
+  E.K = GrayEntry::How::Desc;
+  return E;
+}
+
+GrayEntry tgEntry(Word *Slot, const TypeGc *Tg, uint32_t Field) {
+  GrayEntry E;
+  E.Slot = Slot;
+  E.Tg = Tg;
+  E.Id = 0;
+  E.Field = Field;
+  E.K = GrayEntry::How::Tg;
+  return E;
+}
+
+} // namespace
 
 DescBinding TagFreeTracer::resolveArg(DescId A, const DescEnvNode *Env) {
   const Descriptor &AD = descTable().desc(A);
@@ -136,368 +59,16 @@ bool TagFreeTracer::bindingsEqual(const DescBinding &A,
   return A.Env == B.Env || descTable().desc(A.D).Ground;
 }
 
-Word TagFreeTracer::traceDesc(Word V, DescId D, const DescEnvNode *Env) {
-  Word Result = V;
-  Word *Patch = &Result;
-  // (PatchObj, PatchField): the payload slot Patch aims at once the tail
-  // loop redirects it — see traceCompiled.
-  Word PatchObj = 0;
-  uint32_t PatchField = 0;
-  for (;;) {
-    DescriptorTable &T = descTable();
-    const Descriptor &Desc = T.desc(D);
-    St.add(StatId::GcDescSteps);
-    switch (Desc.Kind) {
-    case DescKind::Leaf:
-      *Patch = V; // Non-reference: no edge.
-      return Result;
-    case DescKind::Param: {
-      assert(Env && "Param descriptor outside a datatype context");
-      DescBinding B = Env->Binds[Desc.A];
-      D = B.D;
-      Env = B.Env;
-      continue;
-    }
-    case DescKind::Fun:
-      *Patch = traceClosureValue(V, nullptr, Desc.FunTy);
-      if (Graph)
-        edge(PatchObj, PatchField, *Patch);
-      return Result;
-    case DescKind::Tuple: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, Desc.Args.size());
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, Desc.Args.size());
-      visit(V, NewRef, CensusKind::Tuple, Desc.Args.size());
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      // The interpreted method walks the descriptor for every field, even
-      // ones with nothing to trace.
-      for (size_t I = 0; I < Desc.Args.size(); ++I) {
-        Pl[I] = traceDesc(Pl[I], Desc.Args[I], Env);
-        if (Graph && holdsRef(Desc.Args[I], Env))
-          edge(NewRef, (uint32_t)I, Pl[I]);
-      }
-      return Result;
-    }
-    case DescKind::Ref: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, 1);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1);
-      visit(V, NewRef, CensusKind::Ref, 1);
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      Pl[0] = traceDesc(Pl[0], Desc.Args[0], Env);
-      if (Graph && holdsRef(Desc.Args[0], Env))
-        edge(NewRef, 0, Pl[0]);
-      return Result;
-    }
-    case DescKind::Data: {
-      if (V < ImmediateCtorLimit) {
-        *Patch = V;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      Word Disc = *reinterpret_cast<const Word *>(V);
-      const std::vector<DescId> &Shape = T.ctorShape(Desc.A, (unsigned)Disc);
-      NewRef = Sp.visitNew(V, 1 + Shape.size());
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1 + Shape.size());
-      visit(V, NewRef, CensusKind::Data, 1 + Shape.size());
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-
-      // Effective bindings of this datatype's parameters: the Data
-      // descriptor's argument descriptors resolved under the current
-      // environment (the run-time analogue of instantiating the shape).
-      std::vector<DescBinding> Binds;
-      Binds.reserve(Desc.Args.size());
-      for (DescId A : Desc.Args)
-        Binds.push_back(resolveArg(A, Env));
-
-      // A shape field referring to the same datatype with identical
-      // effective bindings is a self reference: trace it in the current
-      // (D, Env) context — iteratively if it is the last field.
-      auto IsSelf = [&](DescId F) {
-        const Descriptor &FD = T.desc(F);
-        if (FD.Kind != DescKind::Data || FD.A != Desc.A ||
-            FD.Args.size() != Binds.size())
-          return false;
-        for (size_t I = 0; I < FD.Args.size(); ++I) {
-          const Descriptor &AD = T.desc(FD.Args[I]);
-          DescBinding B = AD.Kind == DescKind::Param
-                              ? Binds[AD.A]
-                              : DescBinding{FD.Args[I], nullptr};
-          if (AD.Kind != DescKind::Param && !AD.Ground)
-            return false; // Conservative: fall back to a fresh env.
-          if (!bindingsEqual(B, Binds[I]))
-            return false;
-        }
-        return true;
-      };
-
-      const DescEnvNode *FieldEnv = nullptr;
-      auto GetFieldEnv = [&]() {
-        if (!FieldEnv) {
-          EnvStorage.emplace_back();
-          EnvStorage.back().Binds = Binds;
-          FieldEnv = &EnvStorage.back();
-        }
-        return FieldEnv;
-      };
-
-      size_t N = Shape.size();
-      for (size_t I = 0; I < N; ++I) {
-        DescId F = Shape[I];
-        const Descriptor &FD = T.desc(F);
-        bool Last = I + 1 == N;
-        Word *Slot = &Pl[1 + I];
-
-        if (FD.Kind == DescKind::Param) {
-          DescBinding B = Binds[FD.A];
-          if (Last) {
-            V = *Slot;
-            Patch = Slot;
-            PatchObj = NewRef;
-            PatchField = (uint32_t)(1 + I);
-            D = B.D;
-            Env = B.Env;
-            goto tail;
-          }
-          *Slot = traceDesc(*Slot, B.D, B.Env);
-          if (Graph && holdsRef(B.D, B.Env))
-            edge(NewRef, (uint32_t)(1 + I), *Slot);
-          continue;
-        }
-        if (IsSelf(F)) {
-          if (Last) {
-            V = *Slot;
-            Patch = Slot;
-            PatchObj = NewRef;
-            PatchField = (uint32_t)(1 + I);
-            goto tail; // Same D, same Env: the list-spine loop.
-          }
-          *Slot = traceDesc(*Slot, D, Env);
-          if (Graph)
-            edge(NewRef, (uint32_t)(1 + I), *Slot);
-          continue;
-        }
-        if (FD.Ground) {
-          if (Last) {
-            V = *Slot;
-            Patch = Slot;
-            PatchObj = NewRef;
-            PatchField = (uint32_t)(1 + I);
-            D = F;
-            Env = nullptr;
-            goto tail;
-          }
-          *Slot = traceDesc(*Slot, F, nullptr);
-          if (Graph && holdsRef(F, nullptr))
-            edge(NewRef, (uint32_t)(1 + I), *Slot);
-          continue;
-        }
-        // Open template field: needs the instantiated environment.
-        if (Last) {
-          V = *Slot;
-          Patch = Slot;
-          PatchObj = NewRef;
-          PatchField = (uint32_t)(1 + I);
-          D = F;
-          Env = GetFieldEnv();
-          goto tail;
-        }
-        *Slot = traceDesc(*Slot, F, GetFieldEnv());
-        if (Graph)
-          edge(NewRef, (uint32_t)(1 + I), *Slot);
-      }
-      return Result;
-    tail:
-      continue;
-    }
-    }
+const DescEnvNode *TagFreeTracer::fieldEnv(DescId D,
+                                           const DescEnvNode *Env) {
+  auto [It, New] = FieldEnvs.try_emplace({D, Env}, nullptr);
+  if (New) {
+    DescEnvNode &N = EnvStorage.emplace_back();
+    for (DescId A : descTable().desc(D).Args)
+      N.Binds.push_back(resolveArg(A, Env));
+    It->second = &N;
   }
-}
-
-Word TagFreeTracer::traceTg(Word V, const TypeGc *Tg) {
-  Word Result = V;
-  Word *Patch = &Result;
-  // (PatchObj, PatchField): the payload slot Patch aims at once the tail
-  // loop redirects it — see traceCompiled. Const-kind fields are never
-  // traced, so they also record no edge (they hold no reference).
-  Word PatchObj = 0;
-  uint32_t PatchField = 0;
-  for (;;) {
-    St.add(StatId::GcTgSteps);
-    switch (Tg->K) {
-    case TypeGc::Kind::Const:
-      *Patch = V;
-      return Result;
-    case TypeGc::Kind::Fun:
-      *Patch = traceClosureValue(V, Tg, nullptr);
-      if (Graph)
-        edge(PatchObj, PatchField, *Patch);
-      return Result;
-    case TypeGc::Kind::Record: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, Tg->NumArgs);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, Tg->NumArgs);
-      visit(V, NewRef, CensusKind::Tuple, Tg->NumArgs);
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      for (uint32_t I = 0; I < Tg->NumArgs; ++I)
-        if (Tg->Args[I]->K != TypeGc::Kind::Const) {
-          Pl[I] = traceTg(Pl[I], Tg->Args[I]);
-          if (Graph)
-            edge(NewRef, I, Pl[I]);
-        }
-      return Result;
-    }
-    case TypeGc::Kind::Ref: {
-      if (V == 0) {
-        *Patch = 0;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      NewRef = Sp.visitNew(V, 1);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1);
-      visit(V, NewRef, CensusKind::Ref, 1);
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      if (Tg->Args[0]->K != TypeGc::Kind::Const) {
-        Pl[0] = traceTg(Pl[0], Tg->Args[0]);
-        if (Graph)
-          edge(NewRef, 0, Pl[0]);
-      }
-      return Result;
-    }
-    case TypeGc::Kind::Data: {
-      if (V < ImmediateCtorLimit) {
-        *Patch = V;
-        return Result;
-      }
-      Word NewRef;
-      // tryClaim is the parallel arbitration seam (a serial Space claims
-      // unconditionally). Word-0 reads — discriminants, closure code
-      // addresses — below this point are safe because only the claim
-      // winner reaches them, and publish is what clobbers word 0.
-      if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef)) {
-        *Patch = NewRef;
-        if (Graph)
-          edge(PatchObj, PatchField, NewRef);
-        return Result;
-      }
-      Word Disc = *reinterpret_cast<const Word *>(V);
-      uint32_t NumFields = Tg->CtorFieldCounts[Disc];
-      NewRef = Sp.visitNew(V, 1 + NumFields);
-      St.add(StatId::GcObjectsVisited);
-      St.add(StatId::GcWordsVisited, 1 + NumFields);
-      visit(V, NewRef, CensusKind::Data, 1 + NumFields);
-      *Patch = NewRef;
-      if (Graph)
-        edge(PatchObj, PatchField, NewRef);
-      Word *Pl = Sp.payload(NewRef);
-      const TypeGc *const *Fields = Tg->CtorFields[Disc];
-      for (uint32_t I = 0; I + 1 < NumFields; ++I)
-        if (Fields[I]->K != TypeGc::Kind::Const) {
-          Pl[1 + I] = traceTg(Pl[1 + I], Fields[I]);
-          if (Graph)
-            edge(NewRef, 1 + I, Pl[1 + I]);
-        }
-      if (NumFields != 0) {
-        const TypeGc *Last = Fields[NumFields - 1];
-        if (Last == Tg) {
-          V = Pl[NumFields];
-          Patch = &Pl[NumFields];
-          PatchObj = NewRef;
-          PatchField = NumFields;
-          continue;
-        }
-        if (Last->K != TypeGc::Kind::Const) {
-          Pl[NumFields] = traceTg(Pl[NumFields], Last);
-          if (Graph)
-            edge(NewRef, NumFields, Pl[NumFields]);
-        }
-      }
-      return Result;
-    }
-    }
-  }
+  return It->second;
 }
 
 const TypeGc *TagFreeTracer::bindParam(const ClosureParamPath &P,
@@ -510,137 +81,429 @@ const TypeGc *TagFreeTracer::bindParam(const ClosureParamPath &P,
   return Eng.constGc();
 }
 
-Word TagFreeTracer::traceClosureValue(Word V, const TypeGc *FunTg,
-                                      Type *StaticFunTy) {
-  if (V == 0)
-    return 0; // Unpatched placeholder in a recursive closure group.
-  Word NewRef;
-  if (Sp.alreadyVisited(V, NewRef) || !Sp.tryClaim(V, NewRef))
-    return NewRef;
+// The loop's helpers are lambdas over its locals (stack top, current
+// entry, counters). Forcing them inline keeps those locals in registers;
+// called out of line, once per object or field, they would cost more
+// than the work they do.
+#define TFGC_INLINE __attribute__((always_inline))
 
-  // Post-claim: the code-address read in word 0 is stable (see above).
-  Word CodeAddr = *reinterpret_cast<const Word *>(V);
-  FuncId L = (FuncId)Img.closureMetaAt((uint32_t)CodeAddr);
-  const IrFunction &LF = Prog.fn(L);
+template <class SpaceT>
+void TagFreeTracer::drain(SpaceT &S, GrayEntry E, Tally &T) {
+  GrayEntry *Stk = Gray.data();
+  size_t Top = 0, Cap = Gray.size();
+  uint64_t Objects = 0, Words = 0, Actions = 0, DescSteps = 0, TgSteps = 0;
+  CensusCounts Census;
+  HeapGraph *const G = Graph;
+  HeapProfiler *const P = Prof;
+  // Heap-graph edge hook: the object holding E's slot now holds Child
+  // there. Only fields whose type can hold a reference become entries;
+  // children that are no object (null, nullary constructors) are
+  // filtered when the capture is finalized.
+  auto Edge = [&](Word Child) TFGC_INLINE {
+    if (G && E.Field != GrayEntry::Root) [[unlikely]]
+      G->recordEdge((Word)(uintptr_t)(E.Slot - E.Field), E.Field, Child);
+  };
+  // Room for N more entries. The storage only grows and outlives the
+  // collection.
+  auto Reserve = [&](size_t N) TFGC_INLINE {
+    if (Top + N > Cap) [[unlikely]] {
+      Gray.resize(std::max(2 * Cap, Top + N + 64));
+      Stk = Gray.data();
+      Cap = Gray.size();
+    }
+  };
+  // First half of a visit: true when this trace wins V and must copy or
+  // mark it; otherwise the slot takes the reference already made. The
+  // claim is the parallel arbitration seam (a serial space claims
+  // unconditionally). Word-0 reads — discriminants, closure code
+  // addresses — are safe after it because only the claim winner reaches
+  // them, and publish is what clobbers word 0.
+  auto Claim = [&](Word V) TFGC_INLINE {
+    Word NewRef;
+    if (!S.alreadyVisited(V, NewRef) && S.tryClaim(V, NewRef))
+      return true;
+    *E.Slot = NewRef;
+    Edge(NewRef);
+    return false;
+  };
+  // Second half: copies or marks V, counts it, patches the slot, and
+  // returns the payload whose fields are traced next. Prof is fed the
+  // same first-visit stream as the census.
+  auto Visit = [&](Word V, CensusKind K, uint32_t N) TFGC_INLINE {
+    Word NewRef = S.visitNew(V, N);
+    ++Objects;
+    Words += N;
+    Census.record(K, N);
+    if (P) [[unlikely]]
+      P->recordVisit(V, NewRef, K, N);
+    *E.Slot = NewRef;
+    Edge(NewRef);
+    return S.payload(NewRef);
+  };
+  // Makes the first of a compiled field list the current entry and
+  // pushes the rest in reverse; false when the list is empty.
+  auto ExpandCompiled = [&](const std::vector<FieldAction> &Fs,
+                            Word *Pl) TFGC_INLINE {
+    size_t N = Fs.size();
+    if (N == 0)
+      return false;
+    Actions += N;
+    Reserve(N - 1);
+    for (size_t I = N - 1; I > 0; --I)
+      Stk[Top++] = compiledEntry(&Pl[Fs[I].Offset], Fs[I].Routine,
+                                 Fs[I].Offset);
+    E = compiledEntry(&Pl[Fs[0].Offset], Fs[0].Routine, Fs[0].Offset);
+    return true;
+  };
 
-  uint32_t PayloadWords;
-  const std::vector<ClosureParamPath> *Paths;
-  switch (Method) {
-  case TraceMethod::Compiled: {
-    const ClosureRoutine &CR = CM->closureRoutine(L);
-    PayloadWords = CR.PayloadWords;
-    Paths = &CR.ParamPaths;
-    break;
-  }
-  case TraceMethod::Interpreted: {
-    const ClosureDescriptor &CD = IM->closureDescriptor(L);
-    PayloadWords = CD.PayloadWords;
-    Paths = &CD.ParamPaths;
-    break;
-  }
-  case TraceMethod::Appel: {
-    const ClosureDescriptor &CD = AM->closureDescriptor(L);
-    PayloadWords = CD.PayloadWords;
-    Paths = &CD.ParamPaths;
-    break;
-  }
-  }
+  DescriptorTable *Tab =
+      Method == TraceMethod::Compiled ? nullptr : &descTable();
+  for (;;) {
+    Word V = *E.Slot;
+    // A closure's function-type routine, or (when null) its ground static
+    // function type: the three ways of reaching a closure set these and
+    // jump to its shared visit below.
+    const TypeGc *FunTg = nullptr;
+    Type *FunTy = nullptr;
+    switch (E.K) {
+    case GrayEntry::How::Compiled: {
+      const TypeRoutine &TR = CM->routine(E.Id);
+      switch (TR.F) {
+      case TypeRoutine::Form::Leaf:
+        break;
+      case TypeRoutine::Form::FunValue:
+        FunTy = TR.FunStaticTy;
+        goto closure;
+      case TypeRoutine::Form::Record:
+      case TypeRoutine::Form::RefCell: {
+        if (V == 0 || !Claim(V))
+          break;
+        Word *Pl = Visit(V,
+                         TR.F == TypeRoutine::Form::RefCell ? CensusKind::Ref
+                                                            : CensusKind::Tuple,
+                         TR.PayloadWords);
+        if (ExpandCompiled(TR.Fields, Pl))
+          continue;
+        break;
+      }
+      case TypeRoutine::Form::DataSwitch: {
+        // Covers nullary constructors and null.
+        if (V < ImmediateCtorLimit || !Claim(V))
+          break;
+        Word Disc = *reinterpret_cast<const Word *>(V);
+        assert(Disc < TR.CtorSizes.size() && "corrupt discriminant");
+        Word *Pl = Visit(V, CensusKind::Data, TR.CtorSizes[Disc]);
+        if (ExpandCompiled(TR.CtorFields[Disc], Pl))
+          continue;
+        break;
+      }
+      }
+      break;
+    }
 
-  NewRef = Sp.visitNew(V, PayloadWords);
-  St.add(StatId::GcObjectsVisited);
-  St.add(StatId::GcWordsVisited, PayloadWords);
-  visit(V, NewRef, CensusKind::Closure, PayloadWords);
-  Word *Pl = Sp.payload(NewRef);
+    case GrayEntry::How::Desc: {
+      const Descriptor &Desc = Tab->desc(E.Id);
+      ++DescSteps;
+      switch (Desc.Kind) {
+      case DescKind::Leaf:
+        break;
+      case DescKind::Param: {
+        assert(E.Env && "Param descriptor outside a datatype context");
+        DescBinding B = E.Env->Binds[Desc.A];
+        E.Id = B.D;
+        E.Env = B.Env;
+        continue;
+      }
+      case DescKind::Fun:
+        FunTy = Desc.FunTy;
+        goto closure;
+      case DescKind::Tuple:
+      case DescKind::Ref: {
+        if (V == 0 || !Claim(V))
+          break;
+        bool IsRef = Desc.Kind == DescKind::Ref;
+        uint32_t N = IsRef ? 1 : (uint32_t)Desc.Args.size();
+        const DescEnvNode *Env = E.Env;
+        Word *Pl = Visit(V, IsRef ? CensusKind::Ref : CensusKind::Tuple, N);
+        if (N == 0)
+          break;
+        // The interpreted method walks the descriptor for every field,
+        // even ones with nothing to trace.
+        Reserve(N - 1);
+        for (uint32_t I = N - 1; I > 0; --I)
+          Stk[Top++] = descEntry(&Pl[I], Desc.Args[I], Env, I);
+        E = descEntry(&Pl[0], Desc.Args[0], Env, 0);
+        continue;
+      }
+      case DescKind::Data: {
+        if (V < ImmediateCtorLimit || !Claim(V))
+          break;
+        Word Disc = *reinterpret_cast<const Word *>(V);
+        const std::vector<DescId> &Shape =
+            Tab->ctorShape(Desc.A, (unsigned)Disc);
+        uint32_t N = (uint32_t)Shape.size();
+        Word *Pl = Visit(V, CensusKind::Data, 1 + N);
+        if (N == 0)
+          break;
+        DescId D = E.Id;
+        const DescEnvNode *Env = E.Env;
+        // Effective binding of the datatype's parameter K: the Data
+        // descriptor's argument resolved under the current environment.
+        auto Bind = [&](uint32_t K) TFGC_INLINE {
+          return resolveArg(Desc.Args[K], Env);
+        };
+        // A shape field referring to the same datatype with identical
+        // effective bindings is a self reference: it is traced in the
+        // current (D, Env) context (the list-spine case).
+        auto IsSelf = [&](const Descriptor &FD) TFGC_INLINE {
+          if (FD.Kind != DescKind::Data || FD.A != Desc.A ||
+              FD.Args.size() != Desc.Args.size())
+            return false;
+          for (uint32_t I = 0; I < FD.Args.size(); ++I) {
+            const Descriptor &AD = Tab->desc(FD.Args[I]);
+            if (AD.Kind != DescKind::Param && !AD.Ground)
+              return false; // Conservative: fall back to a field env.
+            DescBinding B = AD.Kind == DescKind::Param
+                                ? Bind(AD.A)
+                                : DescBinding{FD.Args[I], nullptr};
+            if (!bindingsEqual(B, Bind(I)))
+              return false;
+          }
+          return true;
+        };
+        auto Field = [&](uint32_t I) TFGC_INLINE {
+          DescId F = Shape[I];
+          const Descriptor &FD = Tab->desc(F);
+          Word *Slot = &Pl[1 + I];
+          if (FD.Kind == DescKind::Param) {
+            DescBinding B = Bind(FD.A);
+            return descEntry(Slot, B.D, B.Env, 1 + I);
+          }
+          if (IsSelf(FD))
+            return descEntry(Slot, D, Env, 1 + I);
+          if (FD.Ground)
+            return descEntry(Slot, F, nullptr, 1 + I);
+          // Open template field: needs the instantiated environment.
+          return descEntry(Slot, F, fieldEnv(D, Env), 1 + I);
+        };
+        Reserve(N - 1);
+        for (uint32_t I = N - 1; I > 0; --I)
+          Stk[Top++] = Field(I);
+        E = Field(0);
+        continue;
+      }
+      }
+      break;
+    }
 
-  // Recover the lambda's type parameters from its function-type routine
-  // (paper Figure 4).
-  std::vector<const TypeGc *> Binds;
-  if (!LF.TypeParams.empty()) {
-    if (!FunTg) {
-      assert(StaticFunTy && "no function type available for extraction");
-      TgEnv Empty;
-      FunTg = Eng.eval(StaticFunTy, Empty);
+    case GrayEntry::How::Tg: {
+      const TypeGc *Tg = E.Tg;
+      ++TgSteps;
+      // Const fields hold no reference and are never pushed.
+      switch (Tg->K) {
+      case TypeGc::Kind::Const:
+        break;
+      case TypeGc::Kind::Fun:
+        FunTg = Tg;
+        goto closure;
+      case TypeGc::Kind::Record: {
+        if (V == 0 || !Claim(V))
+          break;
+        Word *Pl = Visit(V, CensusKind::Tuple, Tg->NumArgs);
+        Reserve(Tg->NumArgs);
+        for (uint32_t I = Tg->NumArgs; I-- > 0;)
+          if (Tg->Args[I]->K != TypeGc::Kind::Const)
+            Stk[Top++] = tgEntry(&Pl[I], Tg->Args[I], I);
+        break;
+      }
+      case TypeGc::Kind::Ref: {
+        if (V == 0 || !Claim(V))
+          break;
+        Word *Pl = Visit(V, CensusKind::Ref, 1);
+        if (Tg->Args[0]->K == TypeGc::Kind::Const)
+          break;
+        E = tgEntry(&Pl[0], Tg->Args[0], 0);
+        continue;
+      }
+      case TypeGc::Kind::Data: {
+        if (V < ImmediateCtorLimit || !Claim(V))
+          break;
+        Word Disc = *reinterpret_cast<const Word *>(V);
+        uint32_t N = Tg->CtorFieldCounts[Disc];
+        Word *Pl = Visit(V, CensusKind::Data, 1 + N);
+        const TypeGc *const *Fields = Tg->CtorFields[Disc];
+        Reserve(N);
+        for (uint32_t I = N; I-- > 0;)
+          if (Fields[I]->K != TypeGc::Kind::Const)
+            Stk[Top++] = tgEntry(&Pl[1 + I], Fields[I], 1 + I);
+        break;
+      }
+      }
+      break;
     }
-    for (const ClosureParamPath &P : *Paths)
-      Binds.push_back(bindParam(P, FunTg));
-  }
-  TgEnv Env;
-  Env.Params = &LF.TypeParams;
-  Env.Binds = Binds.data();
+    }
+    goto next;
 
-  switch (Method) {
-  case TraceMethod::Compiled: {
-    const ClosureRoutine &CR = CM->closureRoutine(L);
-    for (const FieldAction &A : CR.Fields) {
-      St.add(StatId::GcCompiledActions);
-      Pl[A.Offset] = traceCompiled(Pl[A.Offset], A.Routine);
-      if (Graph)
-        edge(NewRef, A.Offset, Pl[A.Offset]);
+  closure:
+    // A closure value, found through its code pointer; its environment
+    // fields are pushed. 0 is an unpatched placeholder in a recursive
+    // closure group.
+    if (V != 0 && Claim(V)) {
+      Word CodeAddr = *reinterpret_cast<const Word *>(V);
+      FuncId L = (FuncId)Img.closureMetaAt((uint32_t)CodeAddr);
+      const IrFunction &LF = Prog.fn(L);
+      const ClosureRoutine *CR = nullptr;
+      const ClosureDescriptor *CD = nullptr;
+      if (Method == TraceMethod::Compiled)
+        CR = &CM->closureRoutine(L);
+      else
+        CD = Method == TraceMethod::Interpreted ? &IM->closureDescriptor(L)
+                                                : &AM->closureDescriptor(L);
+      Word *Pl = Visit(V, CensusKind::Closure,
+                       CR ? CR->PayloadWords : CD->PayloadWords);
+
+      // Recover the lambda's type parameters from its function-type
+      // routine (paper Figure 4).
+      ClosureBinds.clear();
+      if (!LF.TypeParams.empty()) {
+        if (!FunTg) {
+          assert(FunTy && "no function type available for extraction");
+          TgEnv Empty;
+          FunTg = Eng.eval(FunTy, Empty);
+        }
+        for (const ClosureParamPath &P :
+             CR ? CR->ParamPaths : CD->ParamPaths)
+          ClosureBinds.push_back(bindParam(P, FunTg));
+      }
+      TgEnv Env;
+      Env.Params = &LF.TypeParams;
+      Env.Binds = ClosureBinds.data();
+      const std::vector<OpenAction> &Open = CR ? CR->Open : CD->Open;
+      OpenTgs.clear();
+      for (const OpenAction &A : Open)
+        OpenTgs.push_back(Eng.eval(A.Ty, Env));
+
+      // Ground fields first, then the open ones: pushed in reverse.
+      size_t NF = CR ? CR->Fields.size() : CD->Fields.size();
+      Reserve(NF + Open.size());
+      for (size_t I = Open.size(); I-- > 0;)
+        Stk[Top++] = tgEntry(&Pl[Open[I].Index], OpenTgs[I], Open[I].Index);
+      if (CR) {
+        Actions += NF;
+        for (size_t I = NF; I-- > 0;) {
+          const FieldAction &A = CR->Fields[I];
+          Stk[Top++] = compiledEntry(&Pl[A.Offset], A.Routine, A.Offset);
+        }
+      } else {
+        for (size_t I = NF; I-- > 0;) {
+          const FrameDescriptor::SlotDesc &F = CD->Fields[I];
+          Stk[Top++] = descEntry(&Pl[F.Slot], F.Desc, nullptr, F.Slot);
+        }
+      }
     }
-    for (const OpenAction &A : CR.Open) {
-      const TypeGc *Tg = Eng.eval(A.Ty, Env);
-      Pl[A.Index] = traceTg(Pl[A.Index], Tg);
-      if (Graph && Tg->K != TypeGc::Kind::Const)
-        edge(NewRef, A.Index, Pl[A.Index]);
-    }
-    break;
+
+  next:
+    if (Top == 0)
+      break;
+    E = Stk[--Top];
   }
-  case TraceMethod::Interpreted:
-  case TraceMethod::Appel: {
-    const ClosureDescriptor &CD = Method == TraceMethod::Interpreted
-                                      ? IM->closureDescriptor(L)
-                                      : AM->closureDescriptor(L);
-    for (const FrameDescriptor::SlotDesc &F : CD.Fields) {
-      Pl[F.Slot] = traceDesc(Pl[F.Slot], F.Desc, nullptr);
-      if (Graph)
-        edge(NewRef, F.Slot, Pl[F.Slot]);
-    }
-    for (const OpenAction &A : CD.Open) {
-      const TypeGc *Tg = Eng.eval(A.Ty, Env);
-      Pl[A.Index] = traceTg(Pl[A.Index], Tg);
-      if (Graph && Tg->K != TypeGc::Kind::Const)
-        edge(NewRef, A.Index, Pl[A.Index]);
-    }
-    break;
+  T.Objects += Objects;
+  T.Words += Words;
+  for (size_t K = 0; K < NumCensusKinds; ++K) {
+    T.Census.Objects[K] += Census.Objects[K];
+    T.Census.Words[K] += Census.Words[K];
   }
+  T.Actions += Actions;
+  T.DescSteps += DescSteps;
+  T.TgSteps += TgSteps;
+}
+
+#undef TFGC_INLINE
+
+void TagFreeTracer::flush(const Tally &T) {
+  if (T.Slots)
+    St.add(StatId::GcSlotsTraced, T.Slots);
+  if (T.Actions)
+    St.add(StatId::GcCompiledActions, T.Actions);
+  if (T.DescSteps)
+    St.add(StatId::GcDescSteps, T.DescSteps);
+  if (T.TgSteps)
+    St.add(StatId::GcTgSteps, T.TgSteps);
+  if (!T.Objects)
+    return;
+  St.add(StatId::GcObjectsVisited, T.Objects);
+  St.add(StatId::GcWordsVisited, T.Words);
+  if (Census) {
+    for (size_t K = 0; K < NumCensusKinds; ++K) {
+      Census->Objects[K] += T.Census.Objects[K];
+      Census->Words[K] += T.Census.Words[K];
+    }
+  } else if (Tel) {
+    Tel->censusBulk(T.Census);
   }
-  return NewRef;
 }
 
 // The traced slots are the heap-graph roots: a dead or unboxed slot is
 // never one, whatever its bits.
-void TagFreeTracer::traceFrame(Word *Slots, const FrameRoutine &FR,
-                               const TgEnv *Env, uint32_t Func) {
+template <class SpaceT>
+void TagFreeTracer::traceFrameIn(SpaceT &S, Word *Slots,
+                                 const FrameRoutine &FR, const TgEnv *Env,
+                                 uint32_t Func) {
+  Tally T;
   for (const FrameRoutine::SlotAction &A : FR.Slots) {
-    St.add(StatId::GcSlotsTraced);
-    Slots[A.Slot] = traceCompiled(Slots[A.Slot], A.Routine);
+    ++T.Slots;
+    drain(S, compiledEntry(&Slots[A.Slot], A.Routine, GrayEntry::Root), T);
     if (Graph)
       Graph->recordRoot(&Slots[A.Slot], Func, A.Slot);
   }
   for (const OpenAction &A : FR.Open) {
-    St.add(StatId::GcSlotsTraced);
+    ++T.Slots;
     assert(Env && "open slot without type parameter bindings");
     const TypeGc *Tg = Eng.eval(A.Ty, *Env);
-    Slots[A.Index] = traceTg(Slots[A.Index], Tg);
+    drain(S, tgEntry(&Slots[A.Index], Tg, GrayEntry::Root), T);
     if (Graph && Tg->K != TypeGc::Kind::Const)
       Graph->recordRoot(&Slots[A.Index], Func, A.Index);
   }
+  flush(T);
 }
 
-void TagFreeTracer::traceFrame(Word *Slots, const FrameDescriptor &FD,
-                               const TgEnv *Env, uint32_t Func) {
+template <class SpaceT>
+void TagFreeTracer::traceFrameIn(SpaceT &S, Word *Slots,
+                                 const FrameDescriptor &FD, const TgEnv *Env,
+                                 uint32_t Func) {
+  Tally T;
   for (const FrameDescriptor::SlotDesc &A : FD.Slots) {
-    St.add(StatId::GcSlotsTraced);
-    Slots[A.Slot] = traceDesc(Slots[A.Slot], A.Desc, nullptr);
+    ++T.Slots;
+    drain(S, descEntry(&Slots[A.Slot], A.Desc, nullptr, GrayEntry::Root), T);
     if (Graph)
       Graph->recordRoot(&Slots[A.Slot], Func, A.Slot);
   }
   for (const OpenAction &A : FD.Open) {
-    St.add(StatId::GcSlotsTraced);
+    ++T.Slots;
     assert(Env && "open slot without type parameter bindings");
     const TypeGc *Tg = Eng.eval(A.Ty, *Env);
-    Slots[A.Index] = traceTg(Slots[A.Index], Tg);
+    drain(S, tgEntry(&Slots[A.Index], Tg, GrayEntry::Root), T);
     if (Graph && Tg->K != TypeGc::Kind::Const)
       Graph->recordRoot(&Slots[A.Index], Func, A.Index);
   }
+  flush(T);
+}
+
+void TagFreeTracer::traceFrame(Word *Slots, const FrameRoutine &FR,
+                               const TgEnv *Env, uint32_t Func) {
+  dispatchSpace(Sp, [&](auto &S) { traceFrameIn(S, Slots, FR, Env, Func); });
+}
+
+void TagFreeTracer::traceFrame(Word *Slots, const FrameDescriptor &FD,
+                               const TgEnv *Env, uint32_t Func) {
+  dispatchSpace(Sp, [&](auto &S) { traceFrameIn(S, Slots, FD, Env, Func); });
+}
+
+void TagFreeTracer::traceSlot(Word *Slot, const TypeGc *Tg) {
+  dispatchSpace(Sp, [&](auto &S) {
+    Tally T;
+    ++T.Slots;
+    drain(S, tgEntry(Slot, Tg, GrayEntry::Root), T);
+    flush(T);
+  });
 }

@@ -2,22 +2,30 @@
 ///
 /// \file
 /// Executes the compiler-generated GC metadata over untagged heap values.
-/// One instance lives for the duration of a single collection. Three
-/// tracing paths exist, matching the artifacts the compiler produced:
+/// One instance lives for the duration of a single collection. Three ways
+/// of tracing a value exist, matching the artifacts the compiler produced:
 ///
-///   traceCompiled  flat compiled type routines (the compiled method)
-///   traceDesc      descriptor-graph interpretation (the interpreted
-///                  method / Appel's descriptors)
-///   traceTg        type-GC-routine closures built during this collection
-///                  (polymorphic slots, paper section 3)
+///   compiled     flat compiled type routines (the compiled method)
+///   descriptor   descriptor-graph interpretation (the interpreted method
+///                / Appel's descriptors)
+///   type-GC      type-GC-routine closures built during this collection
+///                (polymorphic slots, paper section 3)
 ///
 /// Closure values are traced through their code pointer: the word before
 /// the code entry names the lambda, whose metadata gives the environment
 /// layout and the extraction paths for its type parameters (sections 2.2
 /// and 3, Figure 4).
 ///
-/// All three paths run the tail field iteratively so that tracing a
-/// million-element list does not recurse a million deep.
+/// All three run in one loop over an explicit gray stack, so the C++
+/// stack stays flat however deeply the heap nests. An untagged object
+/// cannot say what it is, so each gray entry carries its slot's type: a
+/// compiled routine, a descriptor with its environment, or a type-GC
+/// closure. Visiting an object pushes its fields in reverse and continues
+/// straight into the first, which reproduces a recursive depth-first
+/// pre-order exactly: the same to-space layout, counters and heap-graph
+/// edges. The loop is instantiated once per concrete Space; each trace
+/// call (a frame, a remembered slot) dispatches on the space kind once and
+/// counts in locals that it flushes into Stats and the census at its end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +41,7 @@
 #include "support/HeapGraph.h"
 
 #include <deque>
+#include <unordered_map>
 
 namespace tfgc {
 
@@ -49,38 +58,46 @@ struct DescEnvNode {
   std::vector<DescBinding> Binds;
 };
 
+/// One pending slot of the trace loop: where it is, how to trace what it
+/// holds, and — for the heap-graph edge — which object field it is.
+struct GrayEntry {
+  enum class How : uint8_t { Compiled, Desc, Tg };
+  /// Field of a slot outside any object (a frame slot, a remembered
+  /// slot): it records no heap-graph edge.
+  static constexpr uint32_t Root = ~0u;
+
+  Word *Slot;
+  union {
+    const DescEnvNode *Env; ///< Desc: resolves the descriptor's Params.
+    const TypeGc *Tg;       ///< Tg: the slot's type-GC closure.
+  };
+  uint32_t Id;    ///< Compiled: RoutineId. Desc: DescId.
+  uint32_t Field; ///< Payload index of Slot in its object, or Root.
+  How K;
+};
+
+/// A trace loop's pending entries. The collector owns one per GC worker
+/// and keeps its storage across collections; between trace calls it is
+/// empty.
+using GrayStack = std::vector<GrayEntry>;
+
 class TagFreeTracer {
 public:
   TagFreeTracer(const IrProgram &Prog, const CodeImage &Img,
                 TypeGcEngine &Eng, Space &Sp, Stats &St, TraceMethod Method,
                 const CompiledMetadata *CM, InterpretedMetadata *IM,
-                AppelMetadata *AM, bool GlogerDummies = false,
-                Telemetry *Tel = nullptr, HeapProfiler *Prof = nullptr)
+                AppelMetadata *AM, GrayStack &Gray,
+                bool GlogerDummies = false, Telemetry *Tel = nullptr,
+                HeapProfiler *Prof = nullptr)
       : Prog(Prog), Img(Img), Eng(Eng), Sp(Sp), St(St), Method(Method),
-        CM(CM), IM(IM), AM(AM), GlogerDummies(GlogerDummies), Tel(Tel),
-        Prof(Prof), Graph(Prof ? Prof->capture() : nullptr) {}
+        CM(CM), IM(IM), AM(AM), Gray(Gray), GlogerDummies(GlogerDummies),
+        Tel(Tel), Prof(Prof), Graph(Prof ? Prof->capture() : nullptr) {}
 
   /// Binds one closure type parameter: by extraction path, or — under the
   /// Goldberg & Gloger '92 rule — to const_gc when no path exists (a value
   /// whose type cannot be reconstructed can never be inspected, so it need
   /// not be traced).
   const TypeGc *bindParam(const ClosureParamPath &P, const TypeGc *FunTg);
-
-  /// Ground value of compiled routine \p R. Returns the new reference.
-  Word traceCompiled(Word V, RoutineId R);
-
-  /// Value by descriptor interpretation. \p Env resolves Param nodes (the
-  /// surrounding Data descriptor's type arguments); top-level descriptors
-  /// are ground and take nullptr.
-  Word traceDesc(Word V, DescId D, const DescEnvNode *Env);
-
-  /// Value by type-GC-routine closure.
-  Word traceTg(Word V, const TypeGc *Tg);
-
-  /// Closure value. \p FunTg is the function-type routine (for recovering
-  /// the lambda's type parameters); when null, \p StaticFunTy (ground) is
-  /// evaluated instead if needed.
-  Word traceClosureValue(Word V, const TypeGc *FunTg, Type *StaticFunTy);
 
   /// Frame tracing (Env required whenever the routine has open slots).
   /// \p Func names the frame's function for the heap-graph root labels.
@@ -89,6 +106,9 @@ public:
   void traceFrame(Word *Slots, const FrameDescriptor &FD, const TgEnv *Env,
                   uint32_t Func);
 
+  /// One remembered slot, traced by its type-GC closure \p Tg.
+  void traceSlot(Word *Slot, const TypeGc *Tg);
+
   /// Routes census increments into a thread-local accumulator instead of
   /// the (shared, unsynchronized) Telemetry event. Parallel GC workers
   /// set this on their private tracer; the collecting thread merges the
@@ -96,6 +116,13 @@ public:
   void setCensusSink(CensusCounts *C) { Census = C; }
 
 private:
+  /// What one trace call counts, flushed once at its end.
+  struct Tally {
+    uint64_t Slots = 0, Objects = 0, Words = 0;
+    uint64_t Actions = 0, DescSteps = 0, TgSteps = 0;
+    CensusCounts Census;
+  };
+
   const IrProgram &Prog;
   const CodeImage &Img;
   TypeGcEngine &Eng;
@@ -105,6 +132,7 @@ private:
   const CompiledMetadata *CM;
   InterpretedMetadata *IM;
   AppelMetadata *AM;
+  GrayStack &Gray;
   bool GlogerDummies;
   Telemetry *Tel;
   HeapProfiler *Prof;
@@ -115,47 +143,41 @@ private:
   /// hooks stay a single predictable branch when off.
   HeapGraph *const Graph;
 
-  /// First-visit hook next to every visitNew; the (kind, words) increments
-  /// mirror the gc.objects_visited / gc.words_visited counter increments.
-  /// Feeds the telemetry census and — with the old→new address pair — the
-  /// heap profiler's typed snapshot and allocation-site side table.
-  void visit(Word Old, Word New, CensusKind K, uint64_t Words) {
-    if (Census)
-      Census->record(K, Words);
-    else if (Tel)
-      Tel->census(K, Words);
-    if (Prof) [[unlikely]]
-      Prof->recordVisit(Old, New, K, Words);
-  }
+  /// Per-closure scratch: its type-parameter bindings and the type-GC
+  /// closures of its open environment fields (reused, not reallocated).
+  std::vector<const TypeGc *> ClosureBinds, OpenTgs;
 
-  /// Heap-graph edge hook: records that field \p Field of the object at
-  /// (post-move) \p Parent holds \p Child. Parent 0 marks a root slot —
-  /// traceFrame records those as roots. Only called under `if (Graph)`
-  /// and only for fields whose type can hold a reference; children that
-  /// are no object (null, nullary constructors) are filtered when the
-  /// capture is finalized.
-  void edge(Word Parent, uint32_t Field, Word Child) {
-    if (Parent)
-      Graph->recordEdge(Parent, Field, Child);
-  }
+  /// Environments of open datatype fields, one per (Data descriptor,
+  /// environment) pair met during this collection (stable addresses).
+  struct EnvKeyHash {
+    size_t operator()(const std::pair<DescId, const DescEnvNode *> &K) const {
+      return std::hash<const void *>()(K.second) * 31 + K.first;
+    }
+  };
+  std::unordered_map<std::pair<DescId, const DescEnvNode *>,
+                     const DescEnvNode *, EnvKeyHash>
+      FieldEnvs;
+  std::deque<DescEnvNode> EnvStorage;
 
-  /// False for a Leaf descriptor (after binding a parameter under
-  /// \p Env): its word is an unboxed value, never an edge or a root, even
-  /// when its bits equal a live address. The interpreted method walks
-  /// such fields too, so its edge hooks ask first.
-  bool holdsRef(DescId D, const DescEnvNode *Env) {
-    return descTable().desc(resolveArg(D, Env).D).Kind != DescKind::Leaf;
-  }
+  template <class SpaceT> void drain(SpaceT &S, GrayEntry E, Tally &T);
+  template <class SpaceT>
+  void traceFrameIn(SpaceT &S, Word *Slots, const FrameRoutine &FR,
+                    const TgEnv *Env, uint32_t Func);
+  template <class SpaceT>
+  void traceFrameIn(SpaceT &S, Word *Slots, const FrameDescriptor &FD,
+                    const TgEnv *Env, uint32_t Func);
+  void flush(const Tally &T);
 
   DescriptorTable &descTable() {
     return Method == TraceMethod::Appel ? AM->descriptors()
                                         : IM->descriptors();
   }
-  /// Environments built during this collection (stable addresses).
-  std::deque<DescEnvNode> EnvStorage;
 
   DescBinding resolveArg(DescId A, const DescEnvNode *Env);
   bool bindingsEqual(const DescBinding &A, const DescBinding &B);
+  /// The environment of Data descriptor \p D's arguments resolved under
+  /// \p Env (the run-time analogue of instantiating its shape).
+  const DescEnvNode *fieldEnv(DescId D, const DescEnvNode *Env);
 };
 
 } // namespace tfgc

@@ -73,4 +73,39 @@ TEST(AllocCount, SequentialRunMakesNoCxxAllocationPerObject) {
   }
 }
 
+/// A 100,000-element int list, all of it live at every collection.
+const char *LiveList =
+    "fun build (n : int) (acc : int list) : int list =\n"
+    "  if n = 0 then acc else build (n - 1) (n :: acc);\n"
+    "fun len (xs : int list) (k : int) : int =\n"
+    "  case xs of Nil => k | Cons(x, r) => len r (k + 1);\n"
+    "len (build 100000 []) 0";
+
+TEST(AllocCount, TagFreeTracingMakesNoCxxAllocationPerObject) {
+  // The tag-free tracers keep their gray stack across collections and
+  // instantiate datatype environments once per collection, so tracing a
+  // parameterized datatype costs no C++ allocation per visited object.
+  Compiled C = compile(LiveList);
+  ASSERT_TRUE(C.P) << C.Error;
+  for (GcStrategy S : {GcStrategy::CompiledTagFree,
+                       GcStrategy::InterpretedTagFree,
+                       GcStrategy::AppelTagFree})
+    for (GcAlgorithm A : AllAlgorithms) {
+      SCOPED_TRACE(std::string(gcStrategyName(S)) + "/" +
+                   gcAlgorithmName(A));
+      Stats St;
+      auto Col = C.P->makeCollector(S, A, 1 << 20, St);
+      ASSERT_TRUE(Col);
+      Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col, defaultVmOptions(S));
+      uint64_t Before = NewCalls.load(std::memory_order_relaxed);
+      RunResult R = M.run();
+      uint64_t Calls = NewCalls.load(std::memory_order_relaxed) - Before;
+      ASSERT_TRUE(R.Ok) << R.Error;
+      EXPECT_EQ(R.Value, "100000");
+      uint64_t Visited = St.get(StatId::GcObjectsVisited);
+      EXPECT_GE(Visited, 100000u);
+      EXPECT_LT(Calls * 100, Visited) << Calls << " allocations";
+    }
+}
+
 } // namespace
