@@ -47,30 +47,14 @@ Collector::Collector(ValueModel Model, GcAlgorithm Algo, size_t HeapBytes,
 }
 
 Word *Collector::tryAllocatePayload(size_t PayloadWords, ObjKind Kind,
-                                    Tlab *T, StatsShard *Sh) {
+                                    StatsShard *Sh) {
   assert(PayloadWords > 0);
+  assert((Ms || !ParallelMutators) &&
+         "OS-thread mutators over a bump heap allocate through their TLAB");
   size_t Total =
       Model == ValueModel::Tagged ? PayloadWords + 1 : PayloadWords;
   Word *P;
-  if (T && !Ms) {
-    // Threaded bump-heap path: thread-local bump, CAS refill on miss.
-    P = T->bump(Total);
-    if (!P) {
-      Word *Top, *End;
-      bool Ok = Copying
-                    ? Copying->refillTlab(Total, Tlab::ChunkWords, Top, End)
-                    : Gen->refillTlab(Total, Tlab::ChunkWords, Top, End);
-      if (!Ok)
-        return nullptr;
-      T->Top = Top;
-      T->End = End;
-      ++T->Refills;
-      if (T->Flight) [[unlikely]]
-        T->Flight->record(FlightEventType::TlabRefill, 0,
-                          (uint64_t)(End - Top) * sizeof(Word), T->Refills);
-      P = T->bump(Total);
-    }
-  } else if (Ms && ParallelMutators) {
+  if (Ms && ParallelMutators) {
     // Mark-sweep has free lists, not a bump cursor: serialize.
     std::lock_guard<std::mutex> Lock(MutatorMutex);
     P = Ms->tryAllocate(Total);
@@ -90,6 +74,22 @@ Word *Collector::tryAllocatePayload(size_t PayloadWords, ObjKind Kind,
     return P + 1;
   }
   return P;
+}
+
+bool Collector::refillTlab(Tlab &T, size_t MinWords) {
+  assert(mutatorRegion() && "TLABs carve off a bump heap");
+  BumpRegion &W = T.Window;
+  bool Ok = Copying ? Copying->refillTlab(MinWords, Tlab::ChunkWords,
+                                          W.Cursor, W.End)
+                    : Gen->refillTlab(MinWords, Tlab::ChunkWords, W.Cursor,
+                                      W.End);
+  if (!Ok)
+    return false;
+  ++T.Refills;
+  if (T.Flight) [[unlikely]]
+    T.Flight->record(FlightEventType::TlabRefill, 0,
+                     (uint64_t)(W.End - W.Cursor) * sizeof(Word), T.Refills);
+  return true;
 }
 
 void Collector::setFlightRecorder(FlightRecorder *F) {

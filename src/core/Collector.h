@@ -124,16 +124,16 @@ public:
 
   /// Mutator allocation of \p PayloadWords payload words; under the tagged
   /// model a header word is added and initialized. Returns nullptr when a
-  /// collection is needed.
+  /// collection is needed. The object is counted in \p Sh, else in the
+  /// facade.
   ///
-  /// Threaded mutators pass their TLAB (\p T) and their stats shard
-  /// (\p Sh): the fast path bumps the TLAB, the slow path refills it with
-  /// one CAS on the shared cursor (mark-sweep has no bump cursor and
-  /// takes a mutex instead), and the allocation counter lands in the
-  /// caller's own shard. With \p T null the sequential path is
-  /// byte-for-byte the pre-threading behavior.
+  /// OS-thread mutators over a bump heap never come here: they bump their
+  /// TLAB inline and refill it with refillTlab(). Under mark-sweep they
+  /// do, passing their own stats shard, and the free-list walk takes a
+  /// mutex. With \p Sh null the path is byte-for-byte the pre-threading
+  /// behavior.
   Word *tryAllocatePayload(size_t PayloadWords, ObjKind Kind,
-                           Tlab *T = nullptr, StatsShard *Sh = nullptr);
+                           StatsShard *Sh = nullptr);
 
   /// The bump region the mutator allocates from: the copying heap's
   /// current semispace or the generational nursery; null under
@@ -146,6 +146,14 @@ public:
            : Gen   ? &Gen->nurseryRegion()
                    : nullptr;
   }
+
+  /// Points \p T's window at a fresh chunk of at least \p MinWords carved
+  /// off mutatorRegion()'s cursor with one CAS, so OS-thread mutators
+  /// refill lock-free; the VM then bumps the window inline (DESIGN.md
+  /// section 11, "TLABs"). Returns false, leaving the window alone, when
+  /// the region cannot fit \p MinWords: the caller must collect. Bump
+  /// heaps only.
+  bool refillTlab(Tlab &T, size_t MinWords);
 
   /// Number of GC worker threads for the trace phase (1 = serial, the
   /// default). Arms the heaps' claim/publish protocol when > 1. Call

@@ -4,10 +4,11 @@
 /// Every allocation in the bump heaps goes through this file. A sequential
 /// mutator bumps the heap's BumpRegion one object at a time. Every
 /// concurrent allocation takes a chunk off a shared cursor through
-/// carve(): mutator threads carve TLABs (sched/Tlab.h) and parallel GC
-/// workers carve copy buffers (CopyBuffer below). Both then bump privately
-/// inside their chunk, so the cursor's cache line moves between cores once
-/// per chunk instead of once per object.
+/// carve(): mutator threads carve TLABs (sched/Tlab.h), whose windows are
+/// BumpRegions too, and parallel GC workers carve copy buffers (CopyBuffer
+/// below). Both then bump privately inside their chunk, so the cursor's
+/// cache line moves between cores once per chunk instead of once per
+/// object.
 ///
 /// The cursors bump through SpaceBlocks: unzeroed blocks that the heaps
 /// keep in pairs and flip at each collection instead of freeing
@@ -16,6 +17,9 @@
 /// zeroing. AddressSanitizer builds poison every word no object occupies,
 /// and the allocators here and in the heaps unpoison exactly what they hand
 /// out, so a read of a from-space after its collection still reports.
+/// carve() itself unpoisons nothing: a TLAB chunk stays poisoned and its
+/// BumpRegion unpoisons each object, while a copy buffer, whose bump
+/// does not, unpoisons its whole chunk.
 ///
 /// A copy buffer strands whatever part of its chunk no object used, which
 /// a serial evacuation never does, so a target that is nearly all live
@@ -100,12 +104,13 @@ private:
   size_t Size = 0;
 };
 
-/// The mutator's allocation region of a bump heap: the copying heap's
-/// current semispace or the generational nursery. Heap::tryAllocate,
+/// A mutator allocation region. Each bump heap has one, the copying
+/// heap's current semispace or the generational nursery: Heap::tryAllocate,
 /// GenHeap::tryAllocate and the sequential VM's inline allocation
 /// (vm/VmExec.inc) all take their words through tryBump(), and TLAB refills
 /// carve() off the same cursor, so BytesAllocated counts every word the
-/// mutator was handed.
+/// mutator was handed. A TLAB (sched/Tlab.h) is a region too: an
+/// OS-thread VM bumps its window inline the same way.
 struct BumpRegion {
   Word *Cursor = nullptr;
   Word *End = nullptr;
@@ -135,7 +140,8 @@ struct BumpRegion {
 /// \p End, into the reserve [End, Limit), only when \p MinWords alone
 /// does not fit, and is then exactly MinWords long. On success sets
 /// [OutTop, OutEnd) and returns true; returns false, leaving the cursor
-/// alone, when the chunk would pass \p Limit.
+/// alone, when the chunk would pass \p Limit. The chunk stays poisoned:
+/// the caller unpoisons what it hands out.
 template <typename PreferredFn>
 bool carve(Word *&Cursor, Word *End, Word *Limit, size_t MinWords,
            PreferredFn Preferred, Word *&OutTop, Word *&OutEnd) {
@@ -149,7 +155,6 @@ bool carve(Word *&Cursor, Word *End, Word *Limit, size_t MinWords,
     if (A.compare_exchange_weak(Cur, Cur + Take, std::memory_order_relaxed)) {
       OutTop = Cur;
       OutEnd = Cur + Take;
-      unpoisonWords(Cur, Take);
       return true;
     }
   }
@@ -234,6 +239,7 @@ private:
       if (!carve(Cursor, TargetEnd, TargetLimit, Words,
                  [](size_t) { return (size_t)0; }, ChunkTop, ChunkEnd))
         evacuationOverflow(Target, Words);
+      unpoisonWords(ChunkTop, Words);
       return ChunkTop;
     }
     if (!carve(
@@ -242,6 +248,7 @@ private:
             ChunkTop, ChunkEnd))
       evacuationOverflow(Target, Words);
     Size = (size_t)(ChunkEnd - ChunkTop);
+    unpoisonWords(ChunkTop, Size);
     Top = ChunkTop + Words;
     End = ChunkEnd;
     return ChunkTop;

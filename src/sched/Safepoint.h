@@ -6,8 +6,9 @@
 /// protocol has three verbs:
 ///
 ///   requestStop   a mutator exhausted the heap: arm the stop flag (the
-///                 word every VM polls through its fuel counter) and
-///                 stamp the request time;
+///                 word every VM reads at its call checks, its fuel poll
+///                 and its allocation slow path) and stamp the request
+///                 time;
 ///   park          a mutator reached a GC point (its stack walkable, the
 ///                 pending site recorded): count it in and sleep. The
 ///                 *last* mutator to park owns the pause — it runs the
@@ -19,12 +20,14 @@
 ///                 exiting (otherwise they would wait forever on a
 ///                 thread that is gone).
 ///
-/// The flag itself is an atomic read with relaxed ordering — the poll is
-/// on the interpreter hot path and synchronization happens on the mutex
-/// when a mutator actually parks. A stale read is benign in both
-/// directions: missing the flag delays the park by one poll interval;
-/// seeing a completed stop just bounces off the lock (park returns
-/// without waiting when no stop is armed).
+/// The flag belongs to the runtime (GcCoordinator::stopFlag), so it exists
+/// before the VMs that cache its address; the coordinator only stores it.
+/// VMs read it with relaxed loads — the checks are on the interpreter hot
+/// path and synchronization happens on the mutex when a mutator actually
+/// parks. A stale read is benign in both directions: missing the flag
+/// delays the park to the next check; seeing a completed stop just
+/// bounces off the lock (park returns without waiting when no stop is
+/// armed).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,18 +64,15 @@ public:
   using ResumedFn = std::function<void(uint64_t Epoch)>;
   using HandoffFn = std::function<void(uint64_t Epoch, uint64_t DelayNs)>;
 
-  explicit SafepointCoordinator(unsigned LiveThreads) : Live(LiveThreads) {}
+  /// \p StopFlag is the runtime's stop flag, which this coordinator sets
+  /// while a stop is armed.
+  SafepointCoordinator(unsigned LiveThreads, std::atomic<bool> &StopFlag)
+      : StopRequested(StopFlag), Live(LiveThreads) {}
 
   /// Attaches the flight recorder's GC ring (nullptr disables). Arm
   /// events are recorded under the coordinator lock, which is what makes
   /// the GC ring single-producer-at-a-time.
   void setFlightRing(FlightRing *R) { Flight = R; }
-
-  /// Lock-free mutator poll (the VM's fuel-counter safepoint check and
-  /// the test inside the allocation routines).
-  bool pending() const {
-    return StopRequested.load(std::memory_order_relaxed);
-  }
 
   /// Arms the stop (first caller per cycle) and raises the word demand.
   /// Returns true when this call armed it — the caller owns the
@@ -186,9 +186,9 @@ private:
   std::mutex M;
   std::condition_variable CV;
   /// The armed flag under the lock; StopRequested mirrors it for the
-  /// lock-free poll.
+  /// VMs' lock-free reads.
   bool StopArmed = false;
-  std::atomic<bool> StopRequested{false};
+  std::atomic<bool> &StopRequested;
   size_t Need = 0;
   unsigned Live;
   unsigned Parked = 0;

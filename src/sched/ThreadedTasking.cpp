@@ -109,6 +109,9 @@ void ThreadedRuntime::threadMain(size_t Idx) {
     if (R == StepResult::Ran)
       continue;
     if (R == StepResult::BlockedOnGc) {
+      // Every park flushes first: the collection reads this VM's counters,
+      // the objects it bumped inline among them (the young census).
+      T.Machine->flushHotCounters();
       Coord->park(
           [&](const SafepointCoordinator::ParkInfo &PI) {
             T.StopDelayHist.record(PI.DelayNs);
@@ -158,7 +161,8 @@ bool ThreadedRuntime::runAll() {
   Results.assign(Tasks.size(), TaskResult{});
   if (Tasks.empty())
     return true;
-  Coord = std::make_unique<SafepointCoordinator>((unsigned)Tasks.size());
+  Coord = std::make_unique<SafepointCoordinator>((unsigned)Tasks.size(),
+                                                 StopFlag);
   if (Opts.Flight)
     Coord->setFlightRing(&Opts.Flight->gcRing());
   std::vector<std::thread> Threads;
@@ -192,7 +196,8 @@ void ThreadedRuntime::publishTaskStats() {
     std::string Base = "task." + std::to_string(I);
     St.set(Base + ".mutator_steps", Tasks[I].Machine->steps());
     St.set(Base + ".tlab_refills", Tasks[I].TaskTlab->Refills);
-    St.set(Base + ".tlab_alloc_words", Tasks[I].TaskTlab->AllocatedWords);
+    St.set(Base + ".tlab_alloc_words",
+           Tasks[I].TaskTlab->Window.BytesAllocated / sizeof(Word));
     const LogHistogram &H = Tasks[I].StopDelayHist;
     if (!H.count())
       continue;

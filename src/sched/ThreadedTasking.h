@@ -6,12 +6,14 @@
 /// std::thread instead of a round-robin slice. Three pieces make that
 /// safe:
 ///
-///  * SafepointCoordinator — mutators poll a shared stop flag through the
-///    VM's unified fuel counter and park at GC points with their stacks
-///    walkable; the last to park runs the collection (sched/Safepoint.h);
-///  * per-thread TLABs — the allocation fast path bumps a private window
-///    (sched/Tlab.h) refilled with a CAS off the shared nursery cursor,
-///    so mutators never contend on a lock to allocate;
+///  * SafepointCoordinator — mutators read a shared stop flag at call
+///    checks, at the fuel poll and on the allocation slow path, and park
+///    at GC points with their stacks walkable; the last to park runs the
+///    collection (sched/Safepoint.h);
+///  * per-thread TLABs — each VM bumps a private window (sched/Tlab.h)
+///    inline, as the sequential VM bumps the heap, and refills it with a
+///    CAS off the shared cursor, so mutators never contend on a lock to
+///    allocate;
 ///  * per-task counter shards — every VM writes its own StatsShard with
 ///    plain stores; shards are only folded at safepoints (support/
 ///    Epoch.h), which here means inside the world-stopped pause.
@@ -60,8 +62,7 @@ public:
   /// Completed handshake epochs (== world stops; monotone).
   uint64_t gcEpochs() const { return Coord ? Coord->epoch() : 0; }
 
-  // GcCoordinator — polled lock-free from every VM's fuel counter:
-  bool gcPending() const override { return Coord && Coord->pending(); }
+  // GcCoordinator (SafepointCoordinator stores its stop flag):
   void requestGc(size_t NeedWords) override;
 
 private:
@@ -73,7 +74,7 @@ private:
 
   struct Task {
     /// Owned out-of-line so the window's address is stable across vector
-    /// growth (the VM holds a pointer to it in its VmOptions).
+    /// growth (the VM bumps it inline through a pointer).
     std::unique_ptr<Tlab> TaskTlab;
     std::unique_ptr<Vm> Machine;
     /// Set by the owning thread before it leaves the rendezvous set; read

@@ -91,6 +91,14 @@ double MmuTracker::mmu(uint64_t WindowNs, uint64_t T0, uint64_t T1) const {
   return MinU;
 }
 
+double MmuTracker::cappedMmu(uint64_t WindowNs, uint64_t T0,
+                             uint64_t T1) const {
+  if (T1 <= T0)
+    return 1.0;
+  double Whole = 1.0 - (double)gcNsIn(T0, T1) / (double)(T1 - T0);
+  return std::min(mmu(WindowNs, T0, T1), Whole);
+}
+
 //===----------------------------------------------------------------------===//
 // Monitor
 //===----------------------------------------------------------------------===//
@@ -228,7 +236,7 @@ double Monitor::mutatorFraction() const {
 double Monitor::mmu(uint64_t WindowNs) const {
   if (RunStartNs == NoTime)
     return 1.0;
-  return Mmu.mmu(WindowNs, RunStartNs, runEndOrNow());
+  return Mmu.cappedMmu(WindowNs, RunStartNs, runEndOrNow());
 }
 
 const std::string &Monitor::funcName(uint32_t Func) const {
@@ -326,9 +334,10 @@ void Monitor::emitHeartbeat(uint64_t Now, const SampleCounters &SC) {
      << ", \"sample_rate_per_ms\": "
      << fmtFrac(Rate(Samples, LastHbSamples))
      << ", \"mmu\": {\"1ms\": "
-     << fmtFrac(Mmu.mmu(1'000'000, RunStartNs, Now)) << ", \"10ms\": "
-     << fmtFrac(Mmu.mmu(10'000'000, RunStartNs, Now)) << ", \"100ms\": "
-     << fmtFrac(Mmu.mmu(100'000'000, RunStartNs, Now)) << "}"
+     << fmtFrac(Mmu.cappedMmu(1'000'000, RunStartNs, Now))
+     << ", \"10ms\": " << fmtFrac(Mmu.cappedMmu(10'000'000, RunStartNs, Now))
+     << ", \"100ms\": "
+     << fmtFrac(Mmu.cappedMmu(100'000'000, RunStartNs, Now)) << "}"
      << ", \"tasks\": ";
   writeTasksJson(OS);
   if (St) {

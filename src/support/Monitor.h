@@ -95,6 +95,14 @@ public:
   /// interval's overall utilization is returned. 1.0 with no pauses.
   double mmu(uint64_t WindowNs, uint64_t T0, uint64_t T1) const;
 
+  /// mmu() capped by the utilization of [T0, T1) as a whole, what the
+  /// Monitor reports. The whole interval is itself a window at least
+  /// WindowNs long, so the cap is still a minimum over windows of WindowNs
+  /// or longer. mmu() alone is not monotone in the window when the
+  /// interval is not a whole number of windows; with the cap, a curve over
+  /// windows that tile each other (1, 10, 100 ms) is.
+  double cappedMmu(uint64_t WindowNs, uint64_t T0, uint64_t T1) const;
+
 private:
   // Parallel arrays, sorted, non-overlapping. Prefix[i] is the total
   // duration of pauses [0, i) so any clipped range sum is O(log n).
@@ -192,7 +200,8 @@ public:
   uint64_t gcNs() const { return Mmu.gcNsTotal(); }
   /// mutator_ns / wall_ns (1.0 before any wall-clock has elapsed).
   double mutatorFraction() const;
-  /// MMU over the run window so far.
+  /// MMU over the run window so far, capped by the run's utilization
+  /// (MmuTracker::cappedMmu), as every record reports it.
   double mmu(uint64_t WindowNs) const;
   const MmuTracker &mmuTracker() const { return Mmu; }
 

@@ -39,8 +39,8 @@ void TaskingRuntime::spawnInt(FuncId Entry, const std::vector<int64_t> &Args) {
 }
 
 void TaskingRuntime::requestGc(size_t Need) {
-  if (!GcRequested) {
-    GcRequested = true;
+  if (!gcRequested()) {
+    StopFlag.store(true, std::memory_order_relaxed);
     StepsSinceRequest = 0;
     RequestTime = std::chrono::steady_clock::now();
     Col.stats().add(StatId::TaskGcRequests);
@@ -62,7 +62,7 @@ void TaskingRuntime::collectWorld() {
   Col.stats().add(StatId::TaskWorldStops);
   Col.stats().add(StatId::TaskStepsToWorldStopTotal, StepsSinceRequest);
   Col.stats().max(StatId::TaskStepsToWorldStopMax, StepsSinceRequest);
-  GcRequested = false;
+  StopFlag.store(false, std::memory_order_relaxed);
   NeedWords = 0;
   for (Task &T : Tasks)
     T.BlockedForGc = false;
@@ -77,7 +77,7 @@ bool TaskingRuntime::runAll() {
     bool AnyProgress = false;
     for (size_t Idx = 0; Idx < Tasks.size(); ++Idx) {
       Task &T = Tasks[Idx];
-      if (T.Done || (T.BlockedForGc && GcRequested))
+      if (T.Done || (T.BlockedForGc && gcRequested()))
         continue;
       T.BlockedForGc = false;
       Col.stats().add(StatId::TaskContextSwitches);
@@ -85,7 +85,7 @@ bool TaskingRuntime::runAll() {
       // and — when a collection is pending — polls the coordinator every
       // SafepointPollSteps, yielding the slice early so the scheduler
       // reaches the remaining unsuspended tasks sooner.
-      bool GcAtSliceStart = GcRequested;
+      bool GcAtSliceStart = gcRequested();
       uint64_t Before = T.Machine->steps();
       StepResult R = T.Machine->exec(Opts.TimeSliceSteps);
       uint64_t Delta = T.Machine->steps() - Before;
@@ -105,6 +105,7 @@ bool TaskingRuntime::runAll() {
         AnyProgress = true;
       } else if (R == StepResult::BlockedOnGc) {
         T.BlockedForGc = true;
+        T.Machine->flushHotCounters(); // The collection folds vm.*.
         // This task just reached its safe point: its share of the
         // world-stop latency is the time since the request (zero for
         // the requesting task itself).
@@ -132,7 +133,7 @@ bool TaskingRuntime::runAll() {
       }
     }
 
-    if (GcRequested) {
+    if (gcRequested()) {
       // The world is stopped once every live task is suspended at a safe
       // point.
       bool AllSuspended = true;

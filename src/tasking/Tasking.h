@@ -73,7 +73,6 @@ public:
   Stats &stats() { return Col.stats(); }
 
   // GcCoordinator:
-  bool gcPending() const override { return GcRequested; }
   void requestGc(size_t NeedWords) override;
 
 private:
@@ -98,13 +97,14 @@ private:
   /// Program decoded once for all tasks (vm/Decode.h); handler pointers
   /// are filled by the first threaded VM and shared after that.
   DecodedProgram Decoded;
-  bool GcRequested = false;
   size_t NeedWords = 0;
   uint64_t StepsSinceRequest = 0;
   /// When the pending GC was first requested; the request-to-world-stop
   /// delay is recorded in the collector's telemetry at collectWorld().
   std::chrono::steady_clock::time_point RequestTime;
 
+  /// The stop flag, read on the scheduler's own thread.
+  bool gcRequested() const { return StopFlag.load(std::memory_order_relaxed); }
   void collectWorld();
   /// Publishes task.<i>.mutator_steps and task.<i>.world_stop_delay_*
   /// into the stats registry (the per-task view of --stats-json).

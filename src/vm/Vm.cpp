@@ -31,9 +31,21 @@ Vm::Vm(const IrProgram &Prog, const CodeImage &Img, TypeContext &Types,
   SelfTagFloats = Model == ValueModel::Tagged && this->Opts.FloatSelfTag;
   HeaderWords = Model == ValueModel::Tagged ? 1 : 0;
   Roots.Stacks.push_back(&Stack);
-  if (!this->Opts.GcStress && this->Opts.Checks == SuspendChecks::None)
-    if (BumpRegion *R = Col.mutatorRegion())
+  assert((this->Opts.Checks == SuspendChecks::None || this->Opts.Coord) &&
+         "tasking checks without a coordinator");
+  if (this->Opts.Coord)
+    StopFlag = &this->Opts.Coord->stopFlag();
+  // An OS-thread VM bumps its TLAB window inline and tests the stop flag
+  // only on a miss, at call checks and at the fuel poll. The cooperative
+  // scheduler keeps the empty region: its allocation-only policy tests at
+  // every allocation (paper section 4).
+  if (BumpRegion *R = Col.mutatorRegion()) {
+    if (this->Opts.ThreadTlab)
+      Region = &this->Opts.ThreadTlab->Window;
+    else if (!this->Opts.GcStress &&
+             this->Opts.Checks == SuspendChecks::None)
       Region = R;
+  }
 
   DecodeConfig DC;
   DC.Model = Model;
@@ -117,25 +129,27 @@ Word *Vm::allocate(size_t PayloadWords, ObjKind Kind, CallSiteId Site,
   if (Opts.Checks != SuspendChecks::None) {
     // Tasking: never collect unilaterally; suspend and let the
     // coordinator stop the world (paper section 4). All policies test
-    // inside the allocation routine.
+    // inside the allocation routine, which an OS-thread VM enters only
+    // when its TLAB misses.
     ++SuspendChecksRun;
-    assert(Opts.Coord && "tasking checks without a coordinator");
-    if (Opts.Coord->gcPending()) {
-      flushHotCounters(); // Entering the world-stop: make vm.* foldable.
+    if (StopFlag->load(std::memory_order_relaxed)) {
       Blocked = true;
       return nullptr;
     }
-    // OS-thread mutators allocate through their TLAB and count in their
-    // own shard; the cooperative scheduler (ThreadTlab null) keeps the
-    // original serial path so its counters stay bit-identical.
-    Word *P = Col.tryAllocatePayload(PayloadWords, Kind, Opts.ThreadTlab,
-                                     Opts.ThreadTlab ? Shard : nullptr);
-    if (P)
+    if (Region != &NoRegion) {
+      // OS-thread VM over a bump heap: refill the window, retry the bump.
+      if (Col.refillTlab(*Opts.ThreadTlab, PayloadWords + HeaderWords))
+        return bumpAllocate(PayloadWords, Kind, Site);
+    } else if (Word *P = Col.tryAllocatePayload(
+                   PayloadWords, Kind, Opts.ThreadTlab ? Shard : nullptr)) {
+      // OS-thread mark-sweep counts in this task's own shard; the
+      // cooperative scheduler (ThreadTlab null) keeps the original serial
+      // path so its counters stay bit-identical.
       return finishAlloc(P, Site);
+    }
     if (FlightR) [[unlikely]]
       FlightR->record(FlightEventType::GcRequest, 0, PayloadWords);
     Opts.Coord->requestGc(PayloadWords);
-    flushHotCounters();
     Blocked = true;
     return nullptr;
   }

@@ -35,6 +35,7 @@
 #include "runtime/Roots.h"
 #include "vm/Decode.h"
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -68,14 +69,21 @@ enum class DispatchMode : uint8_t {
 };
 
 /// Mediates stop-the-world collections across tasks. Implemented by the
-/// tasking runtime; the sequential VM has none.
+/// tasking runtimes; the sequential VM has none.
 class GcCoordinator {
 public:
   virtual ~GcCoordinator() = default;
-  /// True when some task exhausted the heap and the world must stop.
-  virtual bool gcPending() const = 0;
+  /// Set while some task has exhausted the heap and the world must stop.
+  /// The runtime owns and stores it; every VM caches its address and reads
+  /// it with relaxed loads at call checks, at the fuel poll and on the
+  /// allocation slow path (paper section 4). A stale read only moves a
+  /// park to the next check.
+  const std::atomic<bool> &stopFlag() const { return StopFlag; }
   /// Called by the task that exhausted the heap.
   virtual void requestGc(size_t NeedWords) = 0;
+
+protected:
+  std::atomic<bool> StopFlag{false};
 };
 
 struct VmOptions {
@@ -105,9 +113,10 @@ struct VmOptions {
   /// the VM decodes privately when null.
   DecodedProgram *Decoded = nullptr;
   /// Thread-local allocation buffer for OS-thread mutators (sched/
-  /// ThreadedTasking). When set, allocation bumps this buffer and refills
-  /// it with a CAS off the shared nursery cursor — no lock on the fast
-  /// path — and allocation counters land in this task's shard. Null for
+  /// ThreadedTasking). Over a bump heap its window is the VM's inline
+  /// allocation region: a hit bumps it without a call, a miss refills it
+  /// with a CAS off the shared cursor, and objects count in this task's
+  /// shard. Under mark-sweep the VM keeps the locked slow path. Null for
   /// the sequential VM and the cooperative scheduler (bit-identical
   /// counters with the pre-thread runtime depend on this).
   Tlab *ThreadTlab = nullptr;
@@ -188,9 +197,10 @@ public:
 
   /// Flushes only the VM-owned hot counters into this task's StatsShard —
   /// no gauges, no telemetry publish. Called at every safepoint the VM
-  /// reaches (GC handoff in allocate(), sample points) so collection and
-  /// heartbeat epoch folds see fresh vm.* values. Cheap: a dozen stores
-  /// into the task's own cache-line-padded shard.
+  /// reaches (before a sequential collection, at sample points, and by the
+  /// tasking runtimes at every park) so collection and heartbeat epoch
+  /// folds see fresh vm.* values and every object bumped inline. Cheap: a
+  /// dozen stores into the task's own cache-line-padded shard.
   void flushHotCounters();
 
   /// Steps between tasking safepoint polls in the fuel counter; also the
@@ -268,14 +278,17 @@ private:
   /// Cached Opts.Flight for the dispatch loops.
   FlightRing *FlightR = nullptr;
 
-  /// What EXEC_ALLOC bumps inline: the collector's mutator region when an
-  /// allocation needs nothing else (no stress collection, no tasking
-  /// suspension check, a bump heap), else NoRegion, which is empty, so
-  /// every allocation misses and takes allocate().
+  /// What EXEC_ALLOC bumps inline: over a bump heap, an OS-thread VM's
+  /// TLAB window, or the collector's mutator region when an allocation
+  /// needs nothing else (no stress collection, no tasking suspension
+  /// check); else NoRegion, which is empty, so every allocation misses and
+  /// takes allocate().
   BumpRegion *Region = &NoRegion;
   BumpRegion NoRegion;
   /// Header words per object: 1 under the tagged model, else 0.
   uint32_t HeaderWords = 0;
+  /// The coordinator's stop flag (null for the sequential VM).
+  const std::atomic<bool> *StopFlag = nullptr;
 
   /// The two dispatch loops, generated from vm/VmExec.inc. The threaded
   /// loop doubles as the label-table exporter: called with \p TableOut it
@@ -288,9 +301,10 @@ private:
 
   void pushFrame(FuncId Callee, const Word *Args, unsigned NumArgs,
                  bool HasSelf, Word Self, SlotIndex CallerDst);
-  /// The allocation slow path: allocates through the collector, recording
-  /// the pending site and collecting when needed. Returns the payload, or
-  /// null on OOM or a tasking GC block.
+  /// The allocation slow path: allocates through the collector (or, for
+  /// an OS-thread VM, refills its TLAB and bumps again), recording the
+  /// pending site and collecting when needed. Returns the payload, or null
+  /// on OOM or a tasking GC block.
   Word *allocate(size_t PayloadWords, ObjKind Kind, CallSiteId Site,
                  uint32_t FrameIdx);
 

@@ -358,9 +358,8 @@ TEST(FloatSelfTag, PureFloatKernelAllocatesNoBoxes) {
 // -- Safepoint poll -------------------------------------------------------
 
 struct FakeCoord : GcCoordinator {
-  bool Pending = false;
-  bool gcPending() const override { return Pending; }
-  void requestGc(size_t) override { Pending = true; }
+  void setPending(bool On) { StopFlag.store(On, std::memory_order_relaxed); }
+  void requestGc(size_t) override { setPending(true); }
 };
 
 TEST(SafepointPoll, PendingGcYieldsWithinPollPeriod) {
@@ -382,7 +381,7 @@ TEST(SafepointPoll, PendingGcYieldsWithinPollPeriod) {
   VO.Checks = SuspendChecks::AtAllocation;
   Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col, VO);
 
-  Coord.Pending = true;
+  Coord.setPending(true);
   for (int Slice = 0; Slice < 5; ++Slice) {
     uint64_t Before = M.steps();
     StepResult R = M.exec(1'000'000);
@@ -392,7 +391,7 @@ TEST(SafepointPoll, PendingGcYieldsWithinPollPeriod) {
     EXPECT_LE(Delta, Vm::SafepointPollSteps + 4) << "slice " << Slice;
   }
   // Clearing the request lets the program run to completion.
-  Coord.Pending = false;
+  Coord.setPending(false);
   StepResult R = StepResult::Ran;
   while (R == StepResult::Ran)
     R = M.exec(1'000'000);

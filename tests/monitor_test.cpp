@@ -93,6 +93,29 @@ TEST(MmuTracker, OverlappingStartIsClamped) {
   EXPECT_EQ(T.gcNsIn(0, 30 * Ms), 15 * Ms);
 }
 
+TEST(MmuTracker, RunCapKeepsTheWindowCurveMonotone) {
+  // Pauses at [0, 0.25) and [1.25, 1.5) ms of a 1.5 ms run, which is not
+  // a whole number of 1 ms windows: every 1 ms window misses one pause,
+  // while the run as a whole, the only 10 ms window, holds both.
+  constexpr uint64_t Us = Ms / 1000;
+  constexpr uint64_t End = 1500 * Us;
+  MmuTracker T;
+  T.addPause(0, 250 * Us);
+  T.addPause(1250 * Us, End);
+  EXPECT_NEAR(T.mmu(1 * Ms, 0, End), 0.75, 1e-9);
+  EXPECT_NEAR(T.mmu(10 * Ms, 0, End), 2.0 / 3, 1e-9);
+  // Capped by the run's utilization, 1 ms reads no higher than 10 ms.
+  EXPECT_NEAR(T.cappedMmu(1 * Ms, 0, End), 2.0 / 3, 1e-9);
+  EXPECT_NEAR(T.cappedMmu(10 * Ms, 0, End), 2.0 / 3, 1e-9);
+  EXPECT_NEAR(T.cappedMmu(100 * Ms, 0, End), 2.0 / 3, 1e-9);
+  // Where the windows tile the run, the cap does not bind.
+  MmuTracker P;
+  for (uint64_t I = 0; I < 10; ++I)
+    P.addPause((9 + 10 * I) * Ms, (10 + 10 * I) * Ms);
+  EXPECT_DOUBLE_EQ(P.cappedMmu(1 * Ms, 0, 100 * Ms), 0.0);
+  EXPECT_NEAR(P.cappedMmu(10 * Ms, 0, 100 * Ms), 0.9, 1e-9);
+}
+
 //===----------------------------------------------------------------------===//
 // Monitor aggregation of synthetic GC events
 //===----------------------------------------------------------------------===//

@@ -113,21 +113,26 @@ TEST(WorkStealDeque, ConcurrentStealsLoseNothingDuplicateNothing) {
 //===----------------------------------------------------------------------===//
 
 TEST(Tlab, BumpAccountsAndRefusesOverflow) {
+  // The window is the OS-thread VM's inline allocation region: the bump
+  // here is the one EXEC_ALLOC takes.
   Word Backing[64] = {};
   Tlab T;
-  T.Top = Backing;
-  T.End = Backing + 64;
-  EXPECT_EQ(T.bump(10), Backing);
-  EXPECT_EQ(T.bump(54), Backing + 10);
-  EXPECT_EQ(T.AllocatedWords, 64u);
-  // Window exhausted: the fast path refuses, leaving state untouched for
+  T.Window.Cursor = Backing;
+  T.Window.End = Backing + 64;
+  EXPECT_EQ(T.Window.tryBump(10), Backing);
+  EXPECT_EQ(T.Window.tryBump(54), Backing + 10);
+  EXPECT_EQ(T.Window.BytesAllocated, 64 * sizeof(Word));
+  // Window exhausted: the inline bump refuses, leaving state untouched for
   // the refill slow path.
-  EXPECT_EQ(T.bump(1), nullptr);
-  EXPECT_EQ(T.AllocatedWords, 64u);
+  EXPECT_EQ(T.Window.tryBump(1), nullptr);
+  EXPECT_EQ(T.Window.BytesAllocated, 64 * sizeof(Word));
+  // A collection drops the window; the byte count, which
+  // task.<i>.tlab_alloc_words reports, outlives it.
   T.reset();
-  EXPECT_EQ(T.Top, nullptr);
-  EXPECT_EQ(T.End, nullptr);
-  EXPECT_EQ(T.bump(1), nullptr);
+  EXPECT_EQ(T.Window.Cursor, nullptr);
+  EXPECT_EQ(T.Window.End, nullptr);
+  EXPECT_EQ(T.Window.tryBump(1), nullptr);
+  EXPECT_EQ(T.Window.BytesAllocated, 64 * sizeof(Word));
 }
 
 //===----------------------------------------------------------------------===//
@@ -585,6 +590,107 @@ TEST(Threads, PerTaskTlabAndStopDelayStats) {
   // records a delay too (request-to-collection time), so the histogram
   // counts at least one entry per stop.
   EXPECT_GE(Delays, W.stats().get(StatId::TaskWorldStops));
+}
+
+std::string example(const std::string &Name) {
+  std::string Source = slurp(std::string(TFGC_EXAMPLES_DIR) + "/" + Name);
+  EXPECT_FALSE(Source.empty()) << Name;
+  return Source;
+}
+
+TEST(Threads, AllocationOnlyPolicyChecksOnTlabMissesOnly) {
+  // An OS-thread VM bumps its TLAB inline, so under the allocation-only
+  // policy it tests the stop flag only on the slow path: a refill or a
+  // park, not every object. A 256-word window holds dozens of objects.
+  for (GcAlgorithm A : {GcAlgorithm::Copying, GcAlgorithm::Generational}) {
+    CliOptions O =
+        sessionOptions(GcStrategy::CompiledTagFree, A, 1 << 16);
+    O.Threads = 4;
+    SessionRun Run = openSession(wl::taskWorker(), O);
+    ASSERT_TRUE(Run);
+    TaskingOptions TO = Run.S->taskingOptions();
+    TO.Policy = SuspendChecks::AtAllocation;
+    ThreadedRuntime Rt(Run.P->Prog, Run.P->Image, *Run.P->Types,
+                       Run.S->collector(), TO);
+    FuncId Worker = findFunction(Run.P->Prog, "worker");
+    for (int64_t Seed = 1; Seed <= 4; ++Seed)
+      Rt.spawnInt(Worker, {Seed, 40});
+    ASSERT_TRUE(Rt.runAll()) << gcAlgorithmName(A);
+    uint64_t Checks = Run.stats().get(StatId::TaskSuspendChecks);
+    uint64_t Objects = Run.stats().get(StatId::HeapObjectsAllocated);
+    EXPECT_GT(Checks, 0u) << gcAlgorithmName(A);
+    EXPECT_LT(Checks, Objects / 10) << gcAlgorithmName(A);
+  }
+}
+
+TEST(Threads, TlabWordsAreExactlyTheTasksAllocation) {
+  // Each of four threads runs main once, so their windows together hand
+  // out exactly four times what one cooperative task allocates: a window
+  // counts the words its objects took, headers included, never a chunk.
+  const std::string Source = example("generational_churn.mml");
+  for (GcStrategy S : {GcStrategy::CompiledTagFree, GcStrategy::Tagged}) {
+    CliOptions O =
+        sessionOptions(S, GcAlgorithm::Generational, 1 << 20, 8 << 10);
+    O.Threads = 1;
+    SessionRun Coop = runSession(Source, O);
+    ASSERT_TRUE(Coop);
+    uint64_t Words =
+        Coop.stats().get(StatId::HeapBytesAllocatedTotal) / sizeof(Word);
+    ASSERT_GT(Words, 0u);
+    O.Threads = 4;
+    SessionRun Threaded = runSession(Source, O);
+    ASSERT_TRUE(Threaded);
+    uint64_t TlabWords = 0;
+    for (int I = 0; I < 4; ++I)
+      TlabWords += Threaded.stats().get("task." + std::to_string(I) +
+                                        ".tlab_alloc_words");
+    EXPECT_EQ(TlabWords, 4 * Words) << gcStrategyName(S);
+  }
+}
+
+/// Reads the young-object census inside every collection's pause, as an
+/// epoch fold would. gc.young_dead_objects is cumulative, so it never
+/// decreases and never passes the objects allocated so far. A collection
+/// that misses objects a parked VM bumped inline but has not counted sees
+/// fewer young objects than it then finds live, and the count wraps.
+struct YoungCensusLog : GcEventSink {
+  Collector *Col = nullptr;
+  uint64_t Collections = 0, Violations = 0, LastDead = 0;
+  void onGcEvent(const GcEvent &) override {
+    ++Collections;
+    Col->publishTelemetryStats();
+    uint64_t Dead = Col->stats().get("gc.young_dead_objects");
+    if (Dead < LastDead ||
+        Dead > Col->stats().get(StatId::HeapObjectsAllocated))
+      ++Violations;
+    LastDead = Dead;
+  }
+};
+
+TEST(Threads, YoungCensusHoldsAtEveryCollection) {
+  // Four threads on an 8 KiB nursery: each minor runs while three VMs sit
+  // parked at call checks or allocations with objects they bumped inline.
+  // Every park must have flushed those objects into heap.objects_allocated
+  // before the collection reads it.
+  const std::string Source = example("generational_churn.mml");
+  for (GcStrategy S : {GcStrategy::CompiledTagFree, GcStrategy::Tagged}) {
+    CliOptions O =
+        sessionOptions(S, GcAlgorithm::Generational, 1 << 20, 8 << 10);
+    O.Threads = 4;
+    YoungCensusLog Log;
+    SessionRun Run = runSession(Source, O, [&](Session &Sn) {
+      Log.Col = &Sn.collector();
+      Sn.collector().telemetry().setEventSink(&Log);
+    });
+    ASSERT_TRUE(Run);
+    EXPECT_GT(Log.Collections, 20u) << gcStrategyName(S);
+    EXPECT_EQ(Log.Violations, 0u) << gcStrategyName(S);
+    EXPECT_EQ(Run.stats().get(StatId::HeapObjectsAllocated),
+              Run.stats().get("gc.promoted_objects") +
+                  Run.stats().get("gc.young_dead_objects") +
+                  Run.stats().get("gc.nursery_resident_objects"))
+        << gcStrategyName(S);
+  }
 }
 
 TEST(Threads, ParallelTraceEngagesWithFourStacks) {

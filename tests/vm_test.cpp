@@ -214,7 +214,8 @@ TEST_P(VmSemantics, RefCycleSurvivesCollection) {
 TEST(HeapDeathTest, ReadingPastTheNewestInlineAllocationReports) {
   // The VM's inline allocation unpoisons exactly the words it hands out,
   // so the word after the newest object stays poisoned, in the copying
-  // heap and in the nursery alike.
+  // heap and in the nursery alike, and inside an OS-thread VM's TLAB
+  // window, whose refilled chunk stays poisoned until objects take it.
   if (!PoisonsFreeWords)
     GTEST_SKIP() << "free words are poisoned only under AddressSanitizer";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -236,6 +237,34 @@ TEST(HeapDeathTest, ReadingPastTheNewestInlineAllocationReports) {
     ASSERT_TRUE(R.Ok) << R.Error;
     // No collection ran, so every object came from the inline path.
     ASSERT_EQ(St.get(StatId::GcCollections), 0u);
+    volatile Word *Pair = reinterpret_cast<Word *>(M.returnValue());
+    EXPECT_EQ(Pair[1], S == GcStrategy::Tagged ? tagInt(42) : Word(42));
+    EXPECT_DEATH((void)Pair[2], "use-after-poison");
+  }
+
+  // The OS-thread VM: same program, allocating through a TLAB.
+  struct NoStops : GcCoordinator {
+    void requestGc(size_t) override { ADD_FAILURE() << "heap exhausted"; }
+  };
+  for (auto [S, A] : Configs) {
+    SCOPED_TRACE(std::string("TLAB, ") + gcStrategyName(S) + "/" +
+                 gcAlgorithmName(A));
+    Stats St;
+    auto Col = C.P->makeCollector(S, A, 1 << 16, St);
+    ASSERT_TRUE(Col);
+    Col->setParallelMutators(true);
+    NoStops Coord;
+    Tlab T;
+    VmOptions VO = defaultVmOptions(S);
+    VO.Checks = SuspendChecks::AtAllocation;
+    VO.Coord = &Coord;
+    VO.ThreadTlab = &T;
+    Vm M(C.P->Prog, C.P->Image, *C.P->Types, *Col, VO);
+    StepResult R;
+    while ((R = M.exec(UINT64_MAX)) == StepResult::Ran) {
+    }
+    ASSERT_EQ(R, StepResult::Done) << M.error();
+    ASSERT_GT(T.Refills, 0u);
     volatile Word *Pair = reinterpret_cast<Word *>(M.returnValue());
     EXPECT_EQ(Pair[1], S == GcStrategy::Tagged ? tagInt(42) : Word(42));
     EXPECT_DEATH((void)Pair[2], "use-after-poison");
