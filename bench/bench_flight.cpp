@@ -74,7 +74,7 @@ void reportCost() {
   bool Pass = true;
   for (CostWorkload *W : {&Arith, &GenChurn}) {
     jsonWorkload(W->Name);
-    std::array<uint64_t, 2> Med = medianWallNs<2>(11, [&](size_t M) {
+    std::vector<uint64_t> Med = medianWallNs(2, 11, [&](size_t M) {
       RunOut Out;
       flightRun(*W, (FlightMode)M, &Out);
       return Out.WallNs;
@@ -103,31 +103,6 @@ void reportCost() {
   std::remove(FlightTmp);
 }
 
-void BM_Arith(benchmark::State &State, FlightMode Mode) {
-  for (auto _ : State) {
-    RunOut Out;
-    auto S = flightRun(Arith, Mode, &Out);
-    State.counters["steps"] = (double)S->stats().get(StatId::VmSteps);
-    benchmark::DoNotOptimize(Out.WallNs);
-  }
-}
-
-void BM_GenChurn(benchmark::State &State, FlightMode Mode) {
-  for (auto _ : State) {
-    RunOut Out;
-    auto S = flightRun(GenChurn, Mode, &Out);
-    State.counters["collections"] =
-        (double)S->stats().get(StatId::GcCollections);
-    State.counters["records"] = (double)Out.Records;
-    benchmark::DoNotOptimize(Out.WallNs);
-  }
-}
-
-BENCHMARK_CAPTURE(BM_Arith, off, Off);
-BENCHMARK_CAPTURE(BM_Arith, on, On);
-BENCHMARK_CAPTURE(BM_GenChurn, off, Off);
-BENCHMARK_CAPTURE(BM_GenChurn, on, On);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -138,7 +113,6 @@ int main(int argc, char **argv) {
       "mirrors record\ninside pauses the run already pays for, and the "
       "mutator-side sites are a\nnull check when quiet. A black box the "
       "mutator cannot feel is the point.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+  Sink.write();
   return 0;
 }

@@ -19,20 +19,13 @@ namespace wl = tfgc::workloads;
 
 namespace {
 
-void report(const char *Config, const std::string &Src, GcStrategy S,
-            bool ForceZero) {
-  auto P = compileOrDie(Src);
+void report(const char *Config, CompiledProgram &P, const BareRun &C) {
   Stats St;
-  std::string Err;
-  auto Col = P->makeCollector(S, GcAlgorithm::Copying, 1 << 20, St, &Err);
-  if (!Col)
-    std::abort();
-  VmOptions VO = defaultVmOptions(S);
-  VO.ZeroFrames = ForceZero; // Tagged and Appel zero regardless.
-  Vm M(P->Prog, P->Image, *P->Types, *Col, VO);
-  RunResult R = M.run();
-  if (!R.Ok)
-    std::abort();
+  bareRunNs(P, C, &St);
+  if (JsonSink *Sink = JsonSink::active())
+    Sink->record(std::string(gcStrategyName(C.Strategy)) +
+                     (C.ForceZeroFrames ? "+zero-frames" : ""),
+                 C.Algo, C.HeapBytes, St);
   tableCell(Config);
   tableCell(St.get(StatId::VmCalls));
   tableCell(St.get(StatId::VmFrameWordsZeroed));
@@ -43,45 +36,34 @@ void report(const char *Config, const std::string &Src, GcStrategy S,
   tableEnd();
 }
 
-std::unique_ptr<CompiledProgram> &queens() {
-  static auto P = compileOrDie(wl::nqueens(7));
-  return P;
-}
-
-void BM_GoldbergNoZeroing(benchmark::State &State) {
-  timedRun(State, *queens(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 20);
-}
-void BM_GoldbergForcedZeroing(benchmark::State &State) {
-  timedRun(State, *queens(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 20, /*ZeroFramesOverride=*/true);
-}
-void BM_AppelZeroes(benchmark::State &State) {
-  timedRun(State, *queens(), GcStrategy::AppelTagFree, GcAlgorithm::Copying,
-           1 << 20);
-}
-BENCHMARK(BM_GoldbergNoZeroing);
-BENCHMARK(BM_GoldbergForcedZeroing);
-BENCHMARK(BM_AppelZeroes);
-
 } // namespace
 
 int main(int argc, char **argv) {
   JsonSink Sink("frame_init", argc, argv);
   jsonWorkload("nqueens");
-  std::string Src = wl::nqueens(7);
+  auto P = compileOrDie(wl::nqueens(7));
+  // Tagged and Appel zero regardless; ForceZeroFrames adds it to Goldberg.
+  const BareRun NoZero{.HeapBytes = 1 << 20};
+  const BareRun ForcedZero{.HeapBytes = 1 << 20, .ForceZeroFrames = true};
+  const BareRun Appel{.Strategy = GcStrategy::AppelTagFree,
+                      .HeapBytes = 1 << 20};
   tableHeader("E9: frame initialization (nqueens 7, call-heavy)",
               "Appel/tagged must zero every frame at entry; per-site "
               "routines trace only initialized slots and skip it",
               {"configuration", "calls", "words zeroed", "words/call"});
-  report("goldberg (no zeroing)", Src, GcStrategy::CompiledTagFree, false);
-  report("goldberg + forced zero", Src, GcStrategy::CompiledTagFree, true);
-  report("appel (must zero)", Src, GcStrategy::AppelTagFree, false);
-  report("tagged (must zero)", Src, GcStrategy::Tagged, false);
+  report("goldberg (no zeroing)", *P, NoZero);
+  report("goldberg + forced zero", *P, ForcedZero);
+  report("appel (must zero)", *P, Appel);
+  report("tagged (must zero)", *P,
+         {.Strategy = GcStrategy::Tagged, .HeapBytes = 1 << 20});
   std::printf("\nExpected shape: the paper's method zeroes nothing; "
               "Appel/tagged zero every\nframe word on every call — pure "
-              "mutator overhead visible in the timings.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+              "mutator overhead visible in the timings below.\n");
+  timingTable("E9t: frame initialization wall time (nqueens 7)",
+              {bareTimed("nqueens", "goldberg (no zeroing)", *P, NoZero),
+               bareTimed("nqueens", "goldberg + forced zero", *P,
+                         ForcedZero),
+               bareTimed("nqueens", "appel (must zero)", *P, Appel)});
+  Sink.write();
   return 0;
 }

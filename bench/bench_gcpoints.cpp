@@ -25,6 +25,15 @@ void report(const char *Name, const std::string &Src) {
   uint64_t MayCollect = 0;
   for (bool B : P->GcPoints.MayCollect)
     MayCollect += B;
+  jsonWorkload(Name);
+  jsonCounts("gcpoints",
+             {{"gcpoints.sites", Total},
+              {"gcpoints.sites_omitted", Omitted},
+              {"gcpoints.no_trace_sites", NoTrace},
+              {"gcpoints.fixpoint_iterations",
+               (uint64_t)P->GcPoints.FixpointIterations},
+              {"gcpoints.functions_may_collect", MayCollect},
+              {"gcpoints.functions", (uint64_t)P->Prog.Functions.size()}});
   tableCell(Name);
   tableCell(Total);
   tableCell(Omitted);
@@ -36,17 +45,16 @@ void report(const char *Name, const std::string &Src) {
   tableEnd();
 }
 
-/// Timing: the analysis itself is a compile-time cost; measure it.
-void BM_GcPointAnalysis(benchmark::State &State) {
+/// The analysis is a compile-time cost: time one fixpoint on nqueens(6).
+void reportTimings() {
   auto P = compileOrDie(wl::nqueens(6));
   GcPointOptions O;
   O.FloatsAllocate = true;
-  for (auto _ : State) {
-    GcPointResult R = computeGcPoints(P->Prog, O);
-    benchmark::DoNotOptimize(R.SitesCannotTrigger);
-  }
+  timingTable("E6t: GC-point analysis wall time",
+              {{"nqueens(6)", "computeGcPoints",
+                [&] { return wallNs([&] { computeGcPoints(P->Prog, O); }); }}},
+              101);
 }
-BENCHMARK(BM_GcPointAnalysis);
 
 } // namespace
 
@@ -68,8 +76,8 @@ int main(int argc, char **argv) {
               "(nqueens' safe/abs, the spinner)\nhas a high omitted "
               "fraction; allocation-dense code keeps most gc_words but "
               "still\nshares no_trace heavily (the paper's append "
-              "observation).\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+              "observation).\n");
+  reportTimings();
+  Sink.write();
   return 0;
 }

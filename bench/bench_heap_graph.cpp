@@ -25,7 +25,7 @@
 /// frequency, and load drift hit every mode equally) for listChurn
 /// (allocation-heavy, full copying) and generationalChurn
 /// (minor-dominated — minors are never captured, so `dump` only pays at
-/// majors). The google-benchmark entries feed BENCH_heap_graph.json.
+/// majors).
 ///
 /// Acceptance line (E17): armed/profile <= 1.01 on listChurn — dumps
 /// switched off cost at most 1% on top of profiling alone.
@@ -95,12 +95,11 @@ void reportCost() {
   bool Pass = true;
   for (CostWorkload *W : {&ListChurn, &GenChurn}) {
     jsonWorkload(W->Name);
-    std::array<uint64_t, NumModes> Med =
-        medianWallNs<NumModes>(9, [&](size_t M) {
-          uint64_t Ns = 0;
-          graphedRun(*W, (GraphMode)M, &Ns);
-          return Ns;
-        });
+    std::vector<uint64_t> Med = medianWallNs(NumModes, 9, [&](size_t M) {
+      uint64_t Ns = 0;
+      graphedRun(*W, (GraphMode)M, &Ns);
+      return Ns;
+    });
     for (GraphMode Mode : {Off, Profile, Armed, Dump}) {
       double Ratio =
           Med[Profile] ? (double)Med[Mode] / (double)Med[Profile] : 0.0;
@@ -131,37 +130,6 @@ void reportCost() {
              "quiet machine before reading\nanything into a miss");
 }
 
-void BM_ListChurn(benchmark::State &State, GraphMode Mode) {
-  for (auto _ : State) {
-    uint64_t W = 0, Chunks = 0;
-    auto S = graphedRun(ListChurn, Mode, &W, &Chunks);
-    State.counters["collections"] =
-        (double)S->stats().get(StatId::GcCollections);
-    State.counters["chunks"] = (double)Chunks;
-    benchmark::DoNotOptimize(W);
-  }
-}
-
-void BM_GenChurn(benchmark::State &State, GraphMode Mode) {
-  for (auto _ : State) {
-    uint64_t W = 0, Chunks = 0;
-    auto S = graphedRun(GenChurn, Mode, &W, &Chunks);
-    State.counters["collections"] =
-        (double)S->stats().get(StatId::GcCollections);
-    State.counters["chunks"] = (double)Chunks;
-    benchmark::DoNotOptimize(W);
-  }
-}
-
-BENCHMARK_CAPTURE(BM_ListChurn, off, Off);
-BENCHMARK_CAPTURE(BM_ListChurn, profile, Profile);
-BENCHMARK_CAPTURE(BM_ListChurn, armed, Armed);
-BENCHMARK_CAPTURE(BM_ListChurn, dump, Dump);
-BENCHMARK_CAPTURE(BM_GenChurn, off, Off);
-BENCHMARK_CAPTURE(BM_GenChurn, profile, Profile);
-BENCHMARK_CAPTURE(BM_GenChurn, armed, Armed);
-BENCHMARK_CAPTURE(BM_GenChurn, dump, Dump);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -174,7 +142,6 @@ int main(int argc, char **argv) {
       "recording, dominators, and serialization — visible on\nlistChurn "
       "(every collection is a full) and small on generationalChurn "
       "(minors\nare never captured).\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+  Sink.write();
   return 0;
 }

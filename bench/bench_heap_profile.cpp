@@ -18,8 +18,7 @@
 ///
 /// Reports wall-clock medians and ratios for listChurn (allocation-heavy,
 /// full copying) and generationalChurn (minor-dominated), plus the
-/// profiler's own counters. The google-benchmark entries at the bottom
-/// feed BENCH_heap_profile.json for the perf trajectory.
+/// profiler's own counters, which BENCH_heap_profile.json records.
 ///
 /// Acceptance line: profile/off ratio <= 1.05 on both workloads.
 ///
@@ -58,7 +57,9 @@ std::string jsonLabel(ProfileMode Mode) {
          modeName(Mode);
 }
 
-void reportCost() {
+/// Prints the cost table; returns generationalChurn's retain run, whose
+/// snapshot reportSnapshot prints.
+std::unique_ptr<Session> reportCost() {
   tableHeader("E11: heap profiler cost (compiled tag-free)",
               "wall-clock medians over 9 interleaved runs; 'ratio' is vs "
               "the profiler off; 'retain' adds dominator-tree retention on "
@@ -66,9 +67,10 @@ void reportCost() {
               {"workload", "mode", "median ms", "ratio", "collections",
                "allocs tracked", "visits tracked"});
   bool Pass = true;
+  std::unique_ptr<Session> GenRetain;
   for (CostWorkload *W : {&ListChurn, &GenChurn}) {
     jsonWorkload(W->Name);
-    std::array<uint64_t, 3> Med = medianWallNs<3>(9, [&](size_t M) {
+    std::vector<uint64_t> Med = medianWallNs(3, 9, [&](size_t M) {
       uint64_t Ns = 0;
       profiledRun(*W, (ProfileMode)M, &Ns);
       return Ns;
@@ -87,6 +89,8 @@ void reportCost() {
       tableEnd();
       if (Mode == Profile && Ratio > 1.05)
         Pass = false;
+      if (W == &GenChurn && Mode == Retain)
+        GenRetain = std::move(S);
     }
   }
   std::printf(
@@ -98,16 +102,13 @@ void reportCost() {
              "generationalChurn is a GC-bound torture test (500+ "
              "collections) that prices\nthe per-visit attribution itself; "
              "see EXPERIMENTS.md E11 for the cost model");
+  return GenRetain;
 }
 
-void reportSnapshot() {
+void reportSnapshot(Session &Run) {
   // What a snapshot actually contains for a churn workload, and that its
   // invariants hold outside the test suite too.
-  CostWorkload Fresh =
-      genWorkload("generationalChurn", wl::generationalChurn(20000, 30, 4000));
-  auto Run = profiledRun(Fresh, Retain);
-  jsonRecord(jsonLabel(Retain), *Run);
-  const HeapProfiler::Snapshot &S = Run->profiler().snapshot();
+  const HeapProfiler::Snapshot &S = Run.profiler().snapshot();
   std::printf("\nlast snapshot: seq=%llu kind=%s objects=%llu bytes=%llu "
               "(covered=%llu) retainers=%zu\n",
               (unsigned long long)S.Seq, gcEventKindName(S.Kind),
@@ -120,39 +121,11 @@ void reportSnapshot() {
   }
 }
 
-void BM_ListChurn(benchmark::State &State, ProfileMode Mode) {
-  for (auto _ : State) {
-    uint64_t W = 0;
-    auto S = profiledRun(ListChurn, Mode, &W);
-    State.counters["collections"] =
-        (double)S->stats().get(StatId::GcCollections);
-    benchmark::DoNotOptimize(W);
-  }
-}
-
-void BM_GenChurn(benchmark::State &State, ProfileMode Mode) {
-  for (auto _ : State) {
-    uint64_t W = 0;
-    auto S = profiledRun(GenChurn, Mode, &W);
-    State.counters["collections"] =
-        (double)S->stats().get(StatId::GcCollections);
-    benchmark::DoNotOptimize(W);
-  }
-}
-
-BENCHMARK_CAPTURE(BM_ListChurn, off, Off);
-BENCHMARK_CAPTURE(BM_ListChurn, profile, Profile);
-BENCHMARK_CAPTURE(BM_ListChurn, retain, Retain);
-BENCHMARK_CAPTURE(BM_GenChurn, off, Off);
-BENCHMARK_CAPTURE(BM_GenChurn, profile, Profile);
-BENCHMARK_CAPTURE(BM_GenChurn, retain, Retain);
-
 } // namespace
 
 int main(int argc, char **argv) {
   JsonSink Sink("heap_profile", argc, argv);
-  reportCost();
-  reportSnapshot();
+  reportSnapshot(*reportCost());
   std::printf(
       "\nExpected shape: 'profile' costs about a third more than 'off' on "
       "both workloads\n(EXPERIMENTS.md E11: ~1.3-1.4x on a 4-vCPU VM, so "
@@ -161,7 +134,6 @@ int main(int argc, char **argv) {
       "further premium per full/major collection for the graph\ncapture "
       "and dominator pass: ~1.15x 'profile' on listChurn, ~3x on "
       "generationalChurn.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+  Sink.write();
   return 0;
 }

@@ -18,6 +18,15 @@ namespace {
 
 void report(const char *Name, const std::string &Src) {
   auto P = compileOrDie(Src);
+  jsonWorkload(Name);
+  jsonCounts("metadata",
+             {{"meta.functions", P->Prog.Functions.size()},
+              {"meta.sites", P->Prog.Sites.size()},
+              {"meta.compiled_bytes", P->Compiled.sizeBytes()},
+              {"meta.interpreted_bytes", P->Interp->sizeBytes()},
+              {"meta.appel_bytes", P->Appel->sizeBytes()},
+              {"meta.frame_routines", P->Compiled.numFrameRoutines()},
+              {"meta.type_routines", P->Compiled.numTypeRoutines()}});
   tableCell(Name);
   tableCell(P->Prog.Functions.size());
   tableCell(P->Prog.Sites.size());
@@ -66,6 +75,10 @@ int main(int argc, char **argv) {
     auto P = compileOrDie(R.Src);
     uint64_t Live = P->Image.gcWordBytes() / sizeof(Word);
     uint64_t Omitted = P->Image.omittedGcWords();
+    jsonWorkload(R.Name);
+    jsonCounts("code-image", {{"image.words", P->Image.sizeWords()},
+                              {"image.gc_words", Live},
+                              {"image.omitted_gc_words", Omitted}});
     tableCell(R.Name);
     tableCell(P->Image.sizeWords());
     tableCell(Live);
@@ -77,7 +90,6 @@ int main(int argc, char **argv) {
               "(descriptors dedup\nprogram-wide; routines are code). Appel "
               "is descriptor-sized but one table per\nprocedure instead of "
               "per call site.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+  Sink.write();
   return 0;
 }

@@ -20,8 +20,7 @@
 /// many-tiny-pauses (generational with the bench's deliberately small
 /// nursery) become a quantified trade-off instead of folklore.
 ///
-/// Reports wall-clock medians over interleaved runs; the
-/// google-benchmark entries feed BENCH_monitor.json for the trajectory.
+/// Reports wall-clock medians over interleaved runs.
 ///
 /// Acceptance line: sample/off ratio <= 1.05 on both workloads, and every
 /// stream run emits a heartbeat.
@@ -80,7 +79,7 @@ void reportCost() {
   bool Pass = true, Streamed = true;
   for (CostWorkload *W : {&Arith, &ListChurn}) {
     jsonWorkload(W->Name);
-    std::array<uint64_t, 3> Med = medianWallNs<3>(9, [&](size_t M) {
+    std::vector<uint64_t> Med = medianWallNs(3, 9, [&](size_t M) {
       uint64_t Ns = 0;
       monitoredRun(*W, (MonitorMode)M, &Ns);
       return Ns;
@@ -154,32 +153,6 @@ void reportMmu() {
       "of assumed.\n");
 }
 
-void BM_Arith(benchmark::State &State, MonitorMode Mode) {
-  for (auto _ : State) {
-    uint64_t W = 0;
-    auto S = monitoredRun(Arith, Mode, &W);
-    State.counters["steps"] = (double)S->stats().get(StatId::VmSteps);
-    benchmark::DoNotOptimize(W);
-  }
-}
-
-void BM_ListChurn(benchmark::State &State, MonitorMode Mode) {
-  for (auto _ : State) {
-    uint64_t W = 0;
-    auto S = monitoredRun(ListChurn, Mode, &W);
-    State.counters["collections"] =
-        (double)S->stats().get(StatId::GcCollections);
-    benchmark::DoNotOptimize(W);
-  }
-}
-
-BENCHMARK_CAPTURE(BM_Arith, off, Off);
-BENCHMARK_CAPTURE(BM_Arith, sample, Sample);
-BENCHMARK_CAPTURE(BM_Arith, stream, Stream);
-BENCHMARK_CAPTURE(BM_ListChurn, off, Off);
-BENCHMARK_CAPTURE(BM_ListChurn, sample, Sample);
-BENCHMARK_CAPTURE(BM_ListChurn, stream, Stream);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -192,7 +165,6 @@ int main(int argc, char **argv) {
       "'stream' pays only when a\nheartbeat period elapses. The MMU table "
       "is the feature: pause structure,\nmeasured from the mutator's "
       "side.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+  Sink.write();
   return 0;
 }

@@ -24,161 +24,23 @@
 
 #include "BenchUtil.h"
 
-#include <algorithm>
-#include <chrono>
-
 using namespace tfgc;
 using namespace tfgc::bench;
 namespace wl = tfgc::workloads;
 
 namespace {
 
-std::unique_ptr<CompiledProgram> &arithProgram() {
-  static auto P = compileOrDie(wl::arithKernel(200000));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &floatProgram() {
-  static auto P = compileOrDie(wl::floatKernel(64, 200));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &floatMathProgram() {
-  static auto P = compileOrDie(wl::floatMath(300000));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &opcodeMixProgram() {
-  static auto P = compileOrDie(wl::opcodeMix(200000));
-  return P;
-}
-std::unique_ptr<CompiledProgram> &churnProgram() {
-  static auto P = compileOrDie(wl::listChurn(200, 64));
-  return P;
-}
-
-void BM_ArithTagged(benchmark::State &State) {
-  timedRun(State, *arithProgram(), GcStrategy::Tagged, GcAlgorithm::Copying,
-           1 << 22);
-}
-void BM_ArithTagFree(benchmark::State &State) {
-  timedRun(State, *arithProgram(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 22);
-}
-void BM_FloatTagged(benchmark::State &State) {
-  timedRun(State, *floatProgram(), GcStrategy::Tagged, GcAlgorithm::Copying,
-           1 << 22);
-}
-void BM_FloatTagFree(benchmark::State &State) {
-  timedRun(State, *floatProgram(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 22);
-}
-// Mark-sweep configuration: an allocation-heavy workload on a small heap,
-// so mutator throughput is dominated by allocate/mark/sweep — the numbers
-// that move when the heap's free lists, block index, and mark set change.
-void BM_ChurnTagFreeMarkSweep(benchmark::State &State) {
-  timedRun(State, *churnProgram(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::MarkSweep, 1 << 14);
-}
-void BM_ChurnTaggedMarkSweep(benchmark::State &State) {
-  timedRun(State, *churnProgram(), GcStrategy::Tagged, GcAlgorithm::MarkSweep,
-           1 << 14);
-}
-
-// E13 timing pairs: identical program/strategy, baseline vs fast path.
-void BM_ArithBaseline(benchmark::State &State) {
-  timedRun(State, *arithProgram(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 22, false, false, 0,
-           DispatchMode::Switch, /*Fuse=*/false, /*FloatSelfTag=*/false,
-           /*TailCalls=*/false);
-}
-void BM_ArithFastPath(benchmark::State &State) {
-  timedRun(State, *arithProgram(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 22);
-}
-void BM_FloatMathBoxed(benchmark::State &State) {
-  timedRun(State, *floatMathProgram(), GcStrategy::Tagged,
-           GcAlgorithm::Copying, 1 << 22, false, false, 0,
-           DispatchMode::Switch, /*Fuse=*/false, /*FloatSelfTag=*/false,
-           /*TailCalls=*/false);
-}
-void BM_FloatMathSelfTag(benchmark::State &State) {
-  timedRun(State, *floatMathProgram(), GcStrategy::Tagged,
-           GcAlgorithm::Copying, 1 << 22);
-}
-void BM_OpcodeMixBaseline(benchmark::State &State) {
-  timedRun(State, *opcodeMixProgram(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 22, false, false, 0,
-           DispatchMode::Switch, /*Fuse=*/false, /*FloatSelfTag=*/false,
-           /*TailCalls=*/false);
-}
-void BM_OpcodeMixFastPath(benchmark::State &State) {
-  timedRun(State, *opcodeMixProgram(), GcStrategy::CompiledTagFree,
-           GcAlgorithm::Copying, 1 << 22);
-}
-
-BENCHMARK(BM_ArithTagged);
-BENCHMARK(BM_ArithTagFree);
-BENCHMARK(BM_FloatTagged);
-BENCHMARK(BM_FloatTagFree);
-BENCHMARK(BM_ChurnTagFreeMarkSweep);
-BENCHMARK(BM_ChurnTaggedMarkSweep);
-BENCHMARK(BM_ArithBaseline);
-BENCHMARK(BM_ArithFastPath);
-BENCHMARK(BM_FloatMathBoxed);
-BENCHMARK(BM_FloatMathSelfTag);
-BENCHMARK(BM_OpcodeMixBaseline);
-BENCHMARK(BM_OpcodeMixFastPath);
-
-// -- E13 interleaved A/B harness ----------------------------------------
-
-struct FastPathCfg {
-  DispatchMode Dispatch;
-  bool Fuse;
-  bool FloatSelfTag;
-  bool TailCalls;
-};
-constexpr FastPathCfg BaselineCfg{DispatchMode::Switch, false, false, false};
-constexpr FastPathCfg FastCfg{DispatchMode::Auto, true, true, true};
-
-/// One run with the given configuration; the timer brackets M.run() only,
-/// so decode/fusion setup is excluded from both sides. Fills \p StOut.
-double runKernelMs(CompiledProgram &P, GcStrategy S, const FastPathCfg &C,
-                   Stats &StOut) {
-  std::string Err;
-  auto Col = P.makeCollector(S, GcAlgorithm::Copying, 1 << 22, StOut, &Err);
-  if (!Col) {
-    std::fprintf(stderr, "E13 kernel rejected: %s\n", Err.c_str());
-    std::abort();
-  }
-  VmOptions VO = defaultVmOptions(S, false);
-  VO.Dispatch = C.Dispatch;
-  VO.FuseSuperinstructions = C.Fuse;
-  VO.FloatSelfTag = C.FloatSelfTag;
-  VO.TailCalls = C.TailCalls;
-  Vm M(P.Prog, P.Image, *P.Types, *Col, VO);
-  auto T0 = std::chrono::steady_clock::now();
-  RunResult R = M.run();
-  auto T1 = std::chrono::steady_clock::now();
-  if (!R.Ok) {
-    std::fprintf(stderr, "E13 kernel failed: %s\n", R.Error.c_str());
-    std::abort();
-  }
-  M.flushCounters();
-  return std::chrono::duration<double, std::milli>(T1 - T0).count();
-}
-
-double median(std::vector<double> V) {
-  std::sort(V.begin(), V.end());
-  return V[V.size() / 2];
-}
-
 void printDispatchTable() {
   struct Kernel {
     const char *Name;
-    CompiledProgram *P;
+    std::unique_ptr<CompiledProgram> P;
     GcStrategy S;
   } Kernels[] = {
-      {"arith", arithProgram().get(), GcStrategy::CompiledTagFree},
-      {"floatMath", floatMathProgram().get(), GcStrategy::Tagged},
-      {"opcodeMix", opcodeMixProgram().get(), GcStrategy::CompiledTagFree},
+      {"arith", compileOrDie(wl::arithKernel(200000)),
+       GcStrategy::CompiledTagFree},
+      {"floatMath", compileOrDie(wl::floatMath(300000)), GcStrategy::Tagged},
+      {"opcodeMix", compileOrDie(wl::opcodeMix(200000)),
+       GcStrategy::CompiledTagFree},
   };
 
   tableHeader(
@@ -187,35 +49,60 @@ void printDispatchTable() {
       "B = threaded + fused + self-tagged + frame-reusing tail calls",
       {"kernel", "A ms (median)", "B ms (median)", "speedup", "B superinstrs",
        "B tail calls", "B float boxes"});
-  for (const Kernel &K : Kernels) {
-    constexpr int Rounds = 7;
-    std::vector<double> A, B;
-    Stats StA, StB;
-    for (int R = 0; R < Rounds; ++R) {
-      StA = Stats();
-      StB = Stats();
-      A.push_back(runKernelMs(*K.P, K.S, BaselineCfg, StA));
-      B.push_back(runKernelMs(*K.P, K.S, FastCfg, StB));
-    }
+  for (Kernel &K : Kernels) {
+    // Mode 0 is A, mode 1 is B; St keeps each mode's last run.
+    Stats St[2];
+    std::vector<uint64_t> Med = medianWallNs(2, 7, [&](size_t M) {
+      return bareRunNs(*K.P,
+                       {.Strategy = K.S, .HeapBytes = 1 << 22,
+                        .FastPath = M == 1},
+                       &St[M]);
+    });
     if (JsonSink *Sink = JsonSink::active()) {
       Sink->setWorkload(std::string(K.Name) + "/e13-baseline");
-      Sink->record(gcStrategyName(K.S), GcAlgorithm::Copying, 1 << 22, StA);
+      Sink->record(gcStrategyName(K.S), GcAlgorithm::Copying, 1 << 22, St[0]);
       Sink->setWorkload(std::string(K.Name) + "/e13-fastpath");
-      Sink->record(gcStrategyName(K.S), GcAlgorithm::Copying, 1 << 22, StB);
+      Sink->record(gcStrategyName(K.S), GcAlgorithm::Copying, 1 << 22, St[1]);
     }
-    double MedA = median(A), MedB = median(B);
     tableCell(K.Name);
-    tableCell(MedA);
-    tableCell(MedB);
-    tableCell(MedA / MedB);
-    tableCell(StB.get(StatId::VmSuperinstructions));
-    tableCell(StB.get(StatId::VmTailCalls));
-    tableCell(StB.get(StatId::VmFloatBoxes));
+    tableCell((double)Med[0] / 1e6);
+    tableCell((double)Med[1] / 1e6);
+    tableCell((double)Med[0] / (double)Med[1]);
+    tableCell(St[1].get(StatId::VmSuperinstructions));
+    tableCell(St[1].get(StatId::VmTailCalls));
+    tableCell(St[1].get(StatId::VmFloatBoxes));
     tableEnd();
   }
   std::printf("\nExpected shape: >=1.5x on arith/floatMath; baseline "
               "executes zero superinstructions;\nself-tagging drives "
               "vm.float_boxes to 0 on the pure-float kernel.\n");
+}
+
+/// E1's kernels: the arith and float kernels on a copying heap that
+/// never fills, and collection throughput on a small mark-sweep heap.
+struct Kernel {
+  const char *Name;
+  std::string Src;
+  GcAlgorithm Algo;
+  size_t Heap;
+};
+
+std::vector<Kernel> kernels() {
+  return {
+      {"arith", wl::arithKernel(200000), GcAlgorithm::Copying, 1 << 22},
+      {"float", wl::floatKernel(64, 200), GcAlgorithm::Copying, 1 << 22},
+      {"listChurn", wl::listChurn(200, 64), GcAlgorithm::MarkSweep, 1 << 14},
+  };
+}
+
+const GcStrategy Models[] = {GcStrategy::Tagged, GcStrategy::CompiledTagFree};
+
+const char *modelName(GcStrategy S) {
+  return S == GcStrategy::Tagged ? "tagged" : "tag-free";
+}
+
+std::string rowName(const Kernel &K) {
+  return std::string(K.Name) + (K.Algo == GcAlgorithm::MarkSweep ? "/ms" : "");
 }
 
 void printTable() {
@@ -224,19 +111,12 @@ void printTable() {
               "float list build+sum",
               {"workload", "model", "vm steps", "tag ops", "float boxes",
                "heap allocs"});
-  struct Row {
-    const char *Name;
-    std::string Src;
-  } Rows[] = {
-      {"arith", wl::arithKernel(200000)},
-      {"float", wl::floatKernel(64, 200)},
-  };
-  for (const Row &R : Rows) {
-    jsonWorkload(R.Name);
-    for (GcStrategy S : {GcStrategy::Tagged, GcStrategy::CompiledTagFree}) {
-      Stats St = runOnce(R.Src, S, GcAlgorithm::Copying, 1 << 22);
-      tableCell(R.Name);
-      tableCell(S == GcStrategy::Tagged ? "tagged" : "tag-free");
+  for (const Kernel &K : kernels()) {
+    jsonWorkload(K.Name);
+    for (GcStrategy S : Models) {
+      Stats St = runOnce(K.Src, S, K.Algo, K.Heap);
+      tableCell(rowName(K));
+      tableCell(modelName(S));
       tableCell(St.get(StatId::VmSteps));
       tableCell(St.get(StatId::VmTagOps));
       tableCell(St.get(StatId::VmFloatBoxes));
@@ -244,22 +124,22 @@ void printTable() {
       tableEnd();
     }
   }
-  // The mark-sweep configuration: collection throughput on a small heap.
-  jsonWorkload("listChurn");
-  for (GcStrategy S : {GcStrategy::Tagged, GcStrategy::CompiledTagFree}) {
-    Stats St = runOnce(wl::listChurn(200, 64), S, GcAlgorithm::MarkSweep,
-                       1 << 14);
-    tableCell("listChurn/ms");
-    tableCell(S == GcStrategy::Tagged ? "tagged" : "tag-free");
-    tableCell(St.get(StatId::VmSteps));
-    tableCell(St.get(StatId::VmTagOps));
-    tableCell(St.get(StatId::VmFloatBoxes));
-    tableCell(St.get(StatId::HeapObjectsAllocated));
-    tableEnd();
-  }
   std::printf("\nExpected shape: identical step counts; the tagged model "
               "additionally executes\ntag strip/reinstate ops and boxes "
-              "every float, visible in the timings below.\n\n");
+              "every float, visible in the timings below.\n");
+}
+
+void printTimings() {
+  std::vector<std::unique_ptr<CompiledProgram>> Programs;
+  std::vector<Timed> Rows;
+  for (const Kernel &K : kernels()) {
+    Programs.push_back(compileOrDie(K.Src));
+    for (GcStrategy S : Models)
+      Rows.push_back(bareTimed(
+          rowName(K), modelName(S), *Programs.back(),
+          {.Strategy = S, .Algo = K.Algo, .HeapBytes = K.Heap}));
+  }
+  timingTable("E1t: mutator wall time, tagged vs tag-free", Rows);
 }
 
 } // namespace
@@ -267,8 +147,8 @@ void printTable() {
 int main(int argc, char **argv) {
   JsonSink Sink("mutator", argc, argv);
   printTable();
+  printTimings();
   printDispatchTable();
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+  Sink.write();
   return 0;
 }

@@ -18,8 +18,7 @@
 ///           inside the fold, so this too should be noise.
 ///
 /// Reports wall-clock medians over interleaved runs (A/B/A/B, so
-/// frequency and load drift hit every mode equally); the
-/// google-benchmark entries feed BENCH_observe.json for the trajectory.
+/// frequency and load drift hit every mode equally).
 ///
 /// Acceptance line: epoch/plain ratio <= 1.02 on both workloads with no
 /// scraper attached.
@@ -136,7 +135,7 @@ void reportCost() {
   bool Pass = true;
   for (CostWorkload *W : {&Arith, &GenChurn}) {
     jsonWorkload(W->Name);
-    std::array<uint64_t, 3> Med = medianWallNs<3>(11, [&](size_t M) {
+    std::vector<uint64_t> Med = medianWallNs(3, 11, [&](size_t M) {
       RunOut Out;
       observedRun(*W, (ObserveMode)M, &Out);
       return Out.WallNs;
@@ -165,33 +164,6 @@ void reportCost() {
              "the ratio");
 }
 
-void BM_Arith(benchmark::State &State, ObserveMode Mode) {
-  for (auto _ : State) {
-    RunOut Out;
-    auto S = observedRun(Arith, Mode, &Out);
-    State.counters["steps"] = (double)S->stats().get(StatId::VmSteps);
-    benchmark::DoNotOptimize(Out.WallNs);
-  }
-}
-
-void BM_GenChurn(benchmark::State &State, ObserveMode Mode) {
-  for (auto _ : State) {
-    RunOut Out;
-    auto S = observedRun(GenChurn, Mode, &Out);
-    State.counters["collections"] =
-        (double)S->stats().get(StatId::GcCollections);
-    State.counters["epochs"] = (double)Out.Epochs;
-    benchmark::DoNotOptimize(Out.WallNs);
-  }
-}
-
-BENCHMARK_CAPTURE(BM_Arith, plain, Plain);
-BENCHMARK_CAPTURE(BM_Arith, epoch, Epoch);
-BENCHMARK_CAPTURE(BM_Arith, serve, Serve);
-BENCHMARK_CAPTURE(BM_GenChurn, plain, Plain);
-BENCHMARK_CAPTURE(BM_GenChurn, epoch, Epoch);
-BENCHMARK_CAPTURE(BM_GenChurn, serve, Serve);
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -203,8 +175,7 @@ int main(int argc, char **argv) {
       "'serve' stays flat because the\nscraper reads prebuilt strings "
       "on its own thread. Observability that is\nactually watched "
       "costs the mutator nothing it wasn't already paying.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+  Sink.write();
   std::remove(MetricsTmp);
   return 0;
 }

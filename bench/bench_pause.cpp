@@ -47,40 +47,27 @@ void report(const char *Name, const std::string &Src, size_t HeapBytes,
   }
 }
 
-std::unique_ptr<CompiledProgram> &churn() {
-  static auto P = compileOrDie(wl::listChurn(200, 64));
-  return P;
+/// Whole-run wall time: listChurn on a 16 KiB heap (copying under every
+/// strategy, and compiled mark-sweep) and binaryTrees on the table's
+/// 64 KiB heap.
+void reportTimings() {
+  const char *Short[] = {"tagged", "compiled", "interpreted", "appel"};
+  auto Churn = compileOrDie(wl::listChurn(200, 64));
+  auto Trees = compileOrDie(wl::binaryTrees(9, 8));
+  std::vector<Timed> Rows;
+  for (size_t I = 0; I < 4; ++I)
+    Rows.push_back(bareTimed("listChurn 16KiB", std::string(Short[I]) + "/copy",
+                             *Churn,
+                             {.Strategy = Strategies[I], .HeapBytes = 1 << 14}));
+  Rows.push_back(bareTimed("listChurn 16KiB", "compiled/ms", *Churn,
+                           {.Algo = GcAlgorithm::MarkSweep,
+                            .HeapBytes = 1 << 14}));
+  for (size_t I = 0; I < 4; ++I)
+    Rows.push_back(bareTimed("binaryTrees 64KiB",
+                             std::string(Short[I]) + "/copy", *Trees,
+                             {.Strategy = Strategies[I], .HeapBytes = 1 << 16}));
+  timingTable("E3t: whole-run wall time by strategy", Rows);
 }
-std::unique_ptr<CompiledProgram> &trees() {
-  static auto P = compileOrDie(wl::binaryTrees(9, 8));
-  return P;
-}
-
-void BM_Churn(benchmark::State &State, GcStrategy S, GcAlgorithm A) {
-  timedRun(State, *churn(), S, A, 1 << 14);
-}
-void BM_Trees(benchmark::State &State, GcStrategy S, GcAlgorithm A) {
-  timedRun(State, *trees(), S, A, 1 << 16);
-}
-
-BENCHMARK_CAPTURE(BM_Churn, tagged_copy, GcStrategy::Tagged,
-                  GcAlgorithm::Copying);
-BENCHMARK_CAPTURE(BM_Churn, compiled_copy, GcStrategy::CompiledTagFree,
-                  GcAlgorithm::Copying);
-BENCHMARK_CAPTURE(BM_Churn, interpreted_copy, GcStrategy::InterpretedTagFree,
-                  GcAlgorithm::Copying);
-BENCHMARK_CAPTURE(BM_Churn, appel_copy, GcStrategy::AppelTagFree,
-                  GcAlgorithm::Copying);
-BENCHMARK_CAPTURE(BM_Churn, compiled_marksweep, GcStrategy::CompiledTagFree,
-                  GcAlgorithm::MarkSweep);
-BENCHMARK_CAPTURE(BM_Trees, tagged_copy, GcStrategy::Tagged,
-                  GcAlgorithm::Copying);
-BENCHMARK_CAPTURE(BM_Trees, compiled_copy, GcStrategy::CompiledTagFree,
-                  GcAlgorithm::Copying);
-BENCHMARK_CAPTURE(BM_Trees, interpreted_copy, GcStrategy::InterpretedTagFree,
-                  GcAlgorithm::Copying);
-BENCHMARK_CAPTURE(BM_Trees, appel_copy, GcStrategy::AppelTagFree,
-                  GcAlgorithm::Copying);
 
 } // namespace
 
@@ -104,8 +91,8 @@ int main(int argc, char **argv) {
       "\nExpected shape: compiled < interpreted on pause (descriptor "
       "interpretation does\nstrictly more steps per object); Appel visits "
       "more (all slots assumed live);\ntagged visits every frame slot and "
-      "every payload word by tag.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+      "every payload word by tag.\n");
+  reportTimings();
+  Sink.write();
   return 0;
 }

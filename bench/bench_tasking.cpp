@@ -28,14 +28,16 @@ namespace wl = tfgc::workloads;
 
 namespace {
 
+/// A finished task run (benches abort on a failed one).
 struct TaskRun {
   std::unique_ptr<CompiledProgram> P;
   std::unique_ptr<Session> S;
-  bool Ok = false;
+  uint64_t WallNs = 0;
 };
 
 /// Workers plus a spinner on the cooperative scheduler (--threads=1, so
-/// the session compiles tasking-safe) under suspension policy \p Policy.
+/// the session compiles tasking-safe) under suspension policy \p Policy;
+/// WallNs times the scheduler run alone.
 TaskRun runTasks(SuspendChecks Policy, int Workers, int Iters,
                  int SpinRounds, int SpinN, size_t HeapBytes) {
   CliOptions O;
@@ -54,9 +56,16 @@ TaskRun runTasks(SuspendChecks Policy, int Workers, int Iters,
     Rt.spawnInt(Worker, {SeedIdx, Iters});
   if (SpinRounds > 0)
     Rt.spawnInt(Spinner, {SpinRounds, SpinN});
-  Out.Ok = Rt.runAll();
+  bool Ok = false;
+  Out.WallNs = wallNs([&] { Ok = Rt.runAll(); });
+  if (!Ok)
+    std::abort();
   return Out;
 }
+
+const SuspendChecks Policies[] = {SuspendChecks::AtAllocation,
+                                  SuspendChecks::AtEveryCall,
+                                  SuspendChecks::RgcRegister};
 
 const char *policyName(SuspendChecks P) {
   switch (P) {
@@ -69,8 +78,6 @@ const char *policyName(SuspendChecks P) {
 
 void report(SuspendChecks Policy) {
   TaskRun R = runTasks(Policy, 3, 60, 60, 2500, 1 << 13);
-  if (!R.Ok)
-    std::abort();
   const Stats &St = R.S->stats();
   uint64_t Stops = St.get(StatId::TaskWorldStops);
   tableCell(policyName(Policy));
@@ -105,7 +112,8 @@ TaskRun runThreadedChurn(unsigned Threads, int Iters, size_t HeapBytes) {
   std::vector<Session::TaskSpawn> Tasks;
   for (unsigned I = 0; I < Threads; ++I)
     Tasks.push_back({Worker, {(int64_t)I + 1, Iters}});
-  Out.Ok = Out.S->runTasks(Tasks).Ok;
+  if (!Out.S->runTasks(Tasks).Ok)
+    std::abort();
   return Out;
 }
 
@@ -120,8 +128,6 @@ uint64_t worstStopDelayP99(const Stats &St, unsigned Threads) {
 
 void reportThreaded(unsigned Threads, size_t HeapBytes) {
   TaskRun R = runThreadedChurn(Threads, 60, HeapBytes);
-  if (!R.Ok)
-    std::abort();
   jsonRecord("compiled", *R.S);
   const Stats &St = R.S->stats();
   // Copying-family collectors have no per-cycle reclaimed counter; the
@@ -139,43 +145,18 @@ void reportThreaded(unsigned Threads, size_t HeapBytes) {
   tableEnd();
 }
 
-void BM_ThreadedChurn(benchmark::State &State, unsigned Threads) {
-  for (auto _ : State) {
-    TaskRun R = runThreadedChurn(Threads, 30, 1 << 13);
-    if (!R.Ok) {
-      State.SkipWithError("task failure");
-      return;
-    }
-    const Stats &St = R.S->stats();
-    State.counters["threads"] = (double)Threads;
-    State.counters["collections"] = (double)St.get(StatId::GcCollections);
-    uint64_t PauseNs = St.get(StatId::GcPauseNsTotal);
-    State.counters["trace_mb_per_s"] =
-        PauseNs ? (double)St.get(StatId::GcWordsVisited) * sizeof(Word) *
-                      1e3 / (double)PauseNs
-                : 0.0;
-    State.counters["stop_p99_ns"] = (double)worstStopDelayP99(St, Threads);
-  }
+/// Wall time of a shorter run under each policy: 3 workers of 30
+/// iterations and a 30-round spinner.
+void reportTimings() {
+  std::vector<Timed> Rows;
+  for (SuspendChecks Policy : Policies)
+    Rows.push_back({"taskWorkerAndSpinner", policyName(Policy), [Policy] {
+                      return runTasks(Policy, 3, 30, 30, 1500, 1 << 13)
+                          .WallNs;
+                    }});
+  timingTable("E8t: suspension policy wall time (3 workers + 1 spinner)",
+              Rows);
 }
-BENCHMARK_CAPTURE(BM_ThreadedChurn, t1, 1u);
-BENCHMARK_CAPTURE(BM_ThreadedChurn, t2, 2u);
-BENCHMARK_CAPTURE(BM_ThreadedChurn, t4, 4u);
-BENCHMARK_CAPTURE(BM_ThreadedChurn, t8, 8u);
-
-void BM_Tasking(benchmark::State &State, SuspendChecks Policy) {
-  for (auto _ : State) {
-    TaskRun R = runTasks(Policy, 3, 30, 30, 1500, 1 << 13);
-    if (!R.Ok) {
-      State.SkipWithError("task failure");
-      return;
-    }
-    State.counters["world_stops"] =
-        (double)R.S->stats().get(StatId::TaskWorldStops);
-  }
-}
-BENCHMARK_CAPTURE(BM_Tasking, alloc_only, SuspendChecks::AtAllocation);
-BENCHMARK_CAPTURE(BM_Tasking, every_call, SuspendChecks::AtEveryCall);
-BENCHMARK_CAPTURE(BM_Tasking, rgc_register, SuspendChecks::RgcRegister);
 
 } // namespace
 
@@ -188,14 +169,14 @@ int main(int argc, char **argv) {
               "world-stop",
               {"policy", "checks", "world stops", "avg stop latency",
                "max stop latency", "ctx switches"});
-  report(SuspendChecks::AtAllocation);
-  report(SuspendChecks::AtEveryCall);
-  report(SuspendChecks::RgcRegister);
+  for (SuspendChecks Policy : Policies)
+    report(Policy);
   std::printf("\nExpected shape: alloc-only runs the fewest checks but the "
               "spinner stalls the\nworld-stop (large max latency); "
               "every-call stops fast but pays a check per call;\n"
               "rgc-register matches alloc-only's explicit check count with "
-              "every-call's latency\n(the test rides the computed jump).\n\n");
+              "every-call's latency\n(the test rides the computed jump).\n");
+  reportTimings();
 
   jsonWorkload("taskWorker-churn");
   // The throughput column only means something next to the core count.
@@ -214,8 +195,7 @@ int main(int argc, char **argv) {
               "handshake, not trace bandwidth, set the\npause: trace MB/s "
               "falls as threads are added, on any core count. Stop p99\n"
               "grows with the thread count since the slowest mutator gates "
-              "every handshake.\n\n");
-  benchmark::Initialize(&argc, argv);
-  Sink.runBenchmarksAndWrite();
+              "every handshake.\n");
+  Sink.write();
   return 0;
 }

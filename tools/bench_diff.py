@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Diff a fresh run_benches.sh output against committed BENCH_*.json.
 
-The committed BENCH_*.json files are the repo's perf trajectory. Their
+The committed BENCH_*.json files are the repo's counter baselines. Their
 `table_runs` counters come from the deterministic VM/GC stat domains, so
 on the same source they are bit-identical run to run — any difference is
 a real behavior change that slipped past the tests (an extra collection,
-a changed visit count, a lost superinstruction). Timings, by contrast,
-are machine-dependent: they are reported, never failed on.
+a changed visit count, a lost superinstruction). The files hold no
+timings: the benches print those to stdout only.
+
+Runs are keyed by (workload, strategy, algorithm, heap, nursery,
+threads), and each key may occur once per file: a repeated key would
+shadow the earlier row, so it fails the diff in either directory.
 
 Rows from OS-thread runs (a `threads` field of 2 or more, E15) are not
 deterministic: the interleaving of real threads decides when each
@@ -19,7 +23,6 @@ gc.parallel_traces > 0 (the parallel tracer engaged). Rows with
 
 Usage:
   tools/bench_diff.py FRESH_DIR [--baseline DIR] [--bench NAME]...
-                      [--warn-ratio R]
 
   FRESH_DIR      directory holding the freshly generated BENCH_*.json
                  (e.g. the target dir passed to `run_benches.sh` plus a
@@ -28,10 +31,9 @@ Usage:
                  repo root, i.e. this script's parent's parent)
   --bench NAME   restrict to BENCH_<NAME>.json (repeatable; default all
                  baselines present)
-  --warn-ratio R warn when a timing moved by more than R x (default 1.5)
 
-Exit status: 1 on counter drift, a broken threaded-row invariant or a
-missing/extra run, 0 otherwise — timing warnings never fail the diff.
+Exit status: 1 on counter drift, a broken threaded-row invariant, a
+missing/extra run, a duplicate run key or a missing file, 0 otherwise.
 
 Typical CI wiring:
   tools/run_benches.sh build && mkdir fresh && mv BENCH_*.json fresh/ \
@@ -94,11 +96,23 @@ def threaded_invariant_failures(counters):
     return failures
 
 
+def keyed_runs(name, which, doc, drift):
+    """A document's table_runs by key; a repeated key is drift."""
+    runs = {}
+    for run in doc.get("table_runs", []):
+        key = run_key(run)
+        if key in runs:
+            drift.append("%s: duplicate run key in %s: %s" %
+                         (name, which, fmt_key(key)))
+        runs[key] = run
+    return runs
+
+
 def diff_table_runs(name, base, fresh):
-    """Returns (drift_lines, warn_lines) for one bench's table_runs."""
-    drift, warns = [], []
-    base_runs = {run_key(r): r for r in base.get("table_runs", [])}
-    fresh_runs = {run_key(r): r for r in fresh.get("table_runs", [])}
+    """Returns the drift lines for one bench's table_runs."""
+    drift = []
+    base_runs = keyed_runs(name, "baseline", base, drift)
+    fresh_runs = keyed_runs(name, "fresh output", fresh, drift)
     for key in sorted(set(base_runs) | set(fresh_runs)):
         if key not in fresh_runs:
             drift.append("%s: run missing from fresh output: %s" %
@@ -121,26 +135,7 @@ def diff_table_runs(name, base, fresh):
             if bv != fv:
                 drift.append("%s: %s: %s: %s -> %s" %
                              (name, fmt_key(key), counter, bv, fv))
-    return drift, warns
-
-
-def diff_timings(name, base, fresh, warn_ratio):
-    """Warn-only comparison of google-benchmark real_time medians."""
-    warns = []
-    base_bms = {b["name"]: b
-                for b in (base.get("benchmark") or {}).get("benchmarks", [])}
-    fresh_bms = {b["name"]: b
-                 for b in (fresh.get("benchmark") or {}).get("benchmarks", [])}
-    for bm in sorted(set(base_bms) & set(fresh_bms)):
-        bt = base_bms[bm].get("real_time", 0.0)
-        ft = fresh_bms[bm].get("real_time", 0.0)
-        if not bt or not ft:
-            continue
-        ratio = ft / bt
-        if ratio > warn_ratio or ratio < 1.0 / warn_ratio:
-            warns.append("%s: %s: real_time %.3fms -> %.3fms (%.2fx)" %
-                         (name, bm, bt / 1e6, ft / 1e6, ratio))
-    return warns
+    return drift
 
 
 def main():
@@ -151,7 +146,6 @@ def main():
                     default=os.path.dirname(
                         os.path.dirname(os.path.abspath(__file__))))
     ap.add_argument("--bench", action="append", default=[])
-    ap.add_argument("--warn-ratio", type=float, default=1.5)
     args = ap.parse_args()
 
     if args.bench:
@@ -164,7 +158,7 @@ def main():
               file=sys.stderr)
         return 1
 
-    all_drift, all_warns, compared = [], [], 0
+    all_drift, compared = [], 0
     for name in names:
         base_path = os.path.join(args.baseline, name)
         fresh_path = os.path.join(args.fresh_dir, name)
@@ -180,12 +174,8 @@ def main():
         with open(fresh_path) as f:
             fresh = json.load(f)
         compared += 1
-        drift, _ = diff_table_runs(name, base, fresh)
-        all_drift.extend(drift)
-        all_warns.extend(diff_timings(name, base, fresh, args.warn_ratio))
+        all_drift.extend(diff_table_runs(name, base, fresh))
 
-    for w in all_warns:
-        print("warn (timing): %s" % w)
     for d in all_drift:
         print("DRIFT: %s" % d)
     if all_drift:
@@ -196,9 +186,7 @@ def main():
               "the change that moved them" % (len(all_drift), compared))
         return 1
     print("bench_diff: OK — %d bench(es), counters bit-identical, threaded "
-          "invariants hold%s" %
-          (compared,
-           ", %d timing warning(s)" % len(all_warns) if all_warns else ""))
+          "invariants hold" % compared)
     return 0
 
 

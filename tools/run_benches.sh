@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Runs every bench binary in JSON mode, writing BENCH_<name>.json at the
-# repo root. These files are the perf trajectory of the repo: re-run after
-# a perf-relevant change and diff the counters/timings against the
-# committed baselines.
+# repo root: the deterministic table counters that tools/bench_diff.py
+# compares against the committed baselines. The timing tables go to
+# stdout.
 #
 # Usage: tools/run_benches.sh [build-dir]   (default: build)
 set -eu
@@ -26,8 +26,7 @@ for NAME in mutator heap_space pause metadata_size liveness gcpoints \
     continue
   fi
   echo "== bench_$NAME =="
-  "$BIN" --json "$ROOT/BENCH_$NAME.json" \
-         --benchmark_min_time=0.05
+  "$BIN" --json "$ROOT/BENCH_$NAME.json"
 done
 
 echo "done: $(ls "$ROOT"/BENCH_*.json | wc -l) JSON files at $ROOT"
